@@ -129,13 +129,6 @@ Result<service::GenerateResponse> ServiceClient::Generate(
   return std::get<service::GenerateResponse>(std::move(response));
 }
 
-Result<service::OptimizeResponse> ServiceClient::Optimize(
-    const service::OptimizeRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::OptimizeResponse>(std::move(response));
-}
-
 Result<service::CompressSuiteResponse> ServiceClient::CompressSuite(
     const service::CompressSuiteRequest& request) {
   QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,

@@ -31,8 +31,6 @@ class ServiceClient {
 
   Result<service::GenerateResponse> Generate(
       const service::GenerateRequest& request);
-  Result<service::OptimizeResponse> Optimize(
-      const service::OptimizeRequest& request);
   Result<service::CompressSuiteResponse> CompressSuite(
       const service::CompressSuiteRequest& request);
   Result<service::CorrectnessResponse> RunCorrectness(

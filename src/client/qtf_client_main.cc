@@ -3,10 +3,11 @@
 //   qtfctl [--host 127.0.0.1] [--port 7433] COMMAND
 //
 // Commands:
-//   smoke     generate -> optimize -> compress -> sql -> metrics against
-//             the server, verifying each response and that the server
-//             counted the requests (qtf.service.requests > 0). Exit 0 iff
-//             all pass. This is what the CI serving job runs.
+//   smoke     generate -> optimize (the generated SQL) -> compress -> sql
+//             round trip -> metrics against the server, verifying each
+//             response and that the server counted the requests
+//             (qtf.service.requests > 0). Exit 0 iff all pass. This is what
+//             the CI serving job runs.
 //   sql SQL   parse, bind and (per --mode) optimize or correctness-test a
 //             SQL statement on the server:
 //               qtfctl sql "SELECT l_orderkey FROM lineitem" --mode optimize
@@ -61,12 +62,13 @@ int RunSmoke(qtf::client::ServiceClient* client) {
   std::printf("generate: ok (%d operators, cost %.3f)\n",
               generated.value().operator_count, generated.value().cost);
 
-  // Optimize: a seed-determined random query.
-  qtf::service::OptimizeRequest optimize;
-  optimize.seed = 11;
-  auto optimized = client->Optimize(optimize);
+  // Optimize: the generated query, sent back as SQL text.
+  qtf::service::SqlRequest optimize;
+  optimize.sql = generated.value().sql;
+  optimize.mode = qtf::service::SqlMode::kOptimize;
+  auto optimized = client->Sql(optimize);
   if (!optimized.ok()) return Fail("optimize", optimized.status());
-  if (optimized.value().sql.empty() || optimized.value().group_count <= 0) {
+  if (optimized.value().group_count <= 0) {
     std::fprintf(stderr, "qtfctl: optimize returned an empty plan\n");
     return 1;
   }

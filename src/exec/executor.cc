@@ -1066,9 +1066,13 @@ class ConcatNode final : public ExecNode {
     for (size_t k = 0; k < ids_.size(); ++k) {
       lpos_.push_back(lbind.PositionOf(op_->left_cols()[k]));
       rpos_.push_back(rbind.PositionOf(op_->right_cols()[k]));
-      QTF_CHECK(left_->types()[static_cast<size_t>(lpos_[k])] == types_[k] &&
-                right_->types()[static_cast<size_t>(rpos_[k])] == types_[k])
-          << "UNION ALL branches must agree on column types";
+      // A rewrite that mismaps union columns yields such a plan; fail the
+      // execution instead of the process.
+      if (left_->types()[static_cast<size_t>(lpos_[k])] != types_[k] ||
+          right_->types()[static_cast<size_t>(rpos_[k])] != types_[k]) {
+        return Status::Internal(
+            "UNION ALL branches must agree on column types");
+      }
     }
     lin_.Configure(left_->ids(), left_->types());
     rin_.Configure(right_->ids(), right_->types());

@@ -1,6 +1,14 @@
 #include "net/wire.h"
 
+#include <array>
+#include <concepts>
 #include <cstring>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -26,68 +34,383 @@ uint32_t ReadU32(const char* p) {
          (static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24);
 }
 
+// --- Type table -----------------------------------------------------------
+
+/// One request/response pair. Row i of kMessages is alternative i of both
+/// ServiceRequest and ServiceResponse.
+struct MessagePair {
+  MessageType request;
+  MessageType response;
+  const char* request_name;
+  const char* response_name;
+};
+
+constexpr MessagePair kMessages[] = {
+    {MessageType::kGenerateRequest, MessageType::kGenerateResponse,
+     "generate_request", "generate_response"},
+    {MessageType::kCompressSuiteRequest, MessageType::kCompressSuiteResponse,
+     "compress_suite_request", "compress_suite_response"},
+    {MessageType::kCorrectnessRequest, MessageType::kCorrectnessResponse,
+     "correctness_request", "correctness_response"},
+    {MessageType::kSqlRequest, MessageType::kSqlResponse, "sql_request",
+     "sql_response"},
+    {MessageType::kLoadRulesRequest, MessageType::kLoadRulesResponse,
+     "load_rules_request", "load_rules_response"},
+    {MessageType::kListRulesRequest, MessageType::kListRulesResponse,
+     "list_rules_request", "list_rules_response"},
+    {MessageType::kMetricsRequest, MessageType::kMetricsResponse,
+     "metrics_request", "metrics_response"},
+};
+static_assert(std::size(kMessages) ==
+                  std::variant_size_v<service::ServiceRequest> &&
+              std::size(kMessages) ==
+                  std::variant_size_v<service::ServiceResponse>);
+
+/// Index of the row carrying `type` as its request or response; -1 for
+/// kError and unknown types.
+int RowOf(MessageType type) {
+  for (size_t i = 0; i < std::size(kMessages); ++i) {
+    if (kMessages[i].request == type || kMessages[i].response == type) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+// --- Field lists ----------------------------------------------------------
+//
+// Each message's fields, in wire order, written once. The encoder, the
+// decoder and the decoder's minimum-size bounds are all derived from
+// these lists. `Of<T> auto& m` binds a const message (encoding) as well
+// as a mutable one (decoding); CorrectnessRequest derives from
+// CompressSuiteRequest and so shares its list.
+
+template <typename M, typename T>
+concept Of = std::derived_from<std::remove_const_t<M>, T>;
+
+/// The kError payload: the failed request's code, in the frozen
+/// StatusCodeToWire numbering, and its message.
+struct ErrorPayload {
+  int32_t code = 0;
+  std::string message;
+};
+
+auto Fields(Of<ErrorPayload> auto& m) { return std::tie(m.code, m.message); }
+
+// `cancel` does not travel: remote cancellation is closing the connection.
+auto Fields(Of<service::RequestOptions> auto& m) {
+  return std::tie(m.budget.wall_seconds, m.budget.max_memo_groups,
+                  m.budget.max_memo_exprs, m.deadline_seconds);
+}
+
+auto Fields(Of<service::SuiteSpec> auto& m) {
+  return std::tie(m.n_rules, m.pairs, m.k, m.method, m.max_trials,
+                  m.extra_ops, m.seed);
+}
+
+auto Fields(Of<service::ViolationSummary> auto& m) {
+  return std::tie(m.target, m.query, m.target_name, m.sql, m.base_rows,
+                  m.restricted_rows);
+}
+
+auto Fields(Of<service::RuleInfo> auto& m) {
+  return std::tie(m.id, m.name, m.type, m.pattern, m.origin);
+}
+
+auto Fields(Of<service::GenerateRequest> auto& m) {
+  return std::tie(m.targets, m.method, m.max_trials, m.extra_ops, m.seed,
+                  m.require_relevant, m.options);
+}
+
+auto Fields(Of<service::GenerateResponse> auto& m) {
+  return std::tie(m.success, m.sql, m.rule_set, m.cost, m.operator_count,
+                  m.trials);
+}
+
+auto Fields(Of<service::CompressSuiteRequest> auto& m) {
+  return std::tie(m.suite, m.algorithm, m.exploit_monotonicity, m.options);
+}
+
+auto Fields(Of<service::CompressSuiteResponse> auto& m) {
+  return std::tie(m.suite_queries, m.assignment, m.total_cost,
+                  m.optimizer_calls, m.degraded_targets, m.estimated_edges);
+}
+
+auto Fields(Of<service::CorrectnessResponse> auto& m) {
+  return std::tie(m.plans_executed, m.skipped_identical_plans,
+                  m.skipped_unavailable, m.violations);
+}
+
+auto Fields(Of<service::SqlRequest> auto& m) {
+  return std::tie(m.sql, m.mode, m.options, m.disabled_rules);
+}
+
+auto Fields(Of<service::SqlResponse> auto& m) {
+  return std::tie(m.fingerprint, m.canonical_sql, m.operator_count, m.cost,
+                  m.exercised_rules, m.group_count, m.expr_count,
+                  m.budget_exhausted, m.plans_executed,
+                  m.skipped_identical_plans, m.skipped_unavailable,
+                  m.violations);
+}
+
+auto Fields(Of<service::LoadRulesRequest> auto& m) {
+  return std::tie(m.text, m.dry_run, m.options);
+}
+
+auto Fields(Of<service::LoadRulesResponse> auto& m) {
+  return std::tie(m.ids, m.names, m.compiled);
+}
+
+auto Fields(Of<service::ListRulesRequest> auto&) { return std::tie(); }
+
+auto Fields(Of<service::ListRulesResponse> auto& m) {
+  return std::tie(m.rules);
+}
+
+auto Fields(Of<service::MetricsRequest> auto& m) { return std::tie(m.text); }
+
+auto Fields(Of<service::MetricsResponse> auto& m) { return std::tie(m.body); }
+
+/// Highest valid value of each enum on the wire; decoding rejects larger.
+constexpr GenerationMethod MaxValue(GenerationMethod) {
+  return GenerationMethod::kPattern;
+}
+constexpr service::CompressionAlgorithm MaxValue(
+    service::CompressionAlgorithm) {
+  return service::CompressionAlgorithm::kNoSharingMatching;
+}
+constexpr service::SqlMode MaxValue(service::SqlMode) {
+  return service::SqlMode::kCorrectness;
+}
+
+template <typename T>
+concept Message = requires(T& m) { Fields(m); };
+
+template <typename T>
+concept Enum = std::is_enum_v<T>;
+
+/// Fewest bytes an encoded T can take: what a count-prefixed vector of T
+/// must have left per element before the decoder allocates for it.
+template <typename T>
+constexpr size_t MinBytes() {
+  if constexpr (Message<T>) {
+    using Tuple = decltype(Fields(std::declval<T&>()));
+    return []<size_t... I>(std::index_sequence<I...>) {
+      return (size_t{0} + ... +
+              MinBytes<std::remove_cvref_t<std::tuple_element_t<I, Tuple>>>());
+    }(std::make_index_sequence<std::tuple_size_v<Tuple>>{});
+  } else if constexpr (std::is_same_v<T, bool> || Enum<T>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else {
+    return 4;  // strings and vectors: their u32 count
+  }
+}
+
+// --- Encoder / decoder ----------------------------------------------------
+
+class Writer {
+ public:
+  void Put(uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void Put(bool v) { Put(static_cast<uint8_t>(v ? 1 : 0)); }
+  void Put(int32_t v) { AppendU32(&out_, static_cast<uint32_t>(v)); }
+  void Put(uint64_t v) {
+    AppendU32(&out_, static_cast<uint32_t>(v & 0xffffffffu));
+    AppendU32(&out_, static_cast<uint32_t>(v >> 32));
+  }
+  void Put(int64_t v) { Put(static_cast<uint64_t>(v)); }
+  void Put(double v) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    Put(bits);
+  }
+  void Put(const std::string& v) {
+    AppendU32(&out_, static_cast<uint32_t>(v.size()));
+    out_.append(v);
+  }
+  void Put(Enum auto v) { Put(static_cast<uint8_t>(v)); }
+  template <typename T>
+  void Put(const std::vector<T>& v) {
+    AppendU32(&out_, static_cast<uint32_t>(v.size()));
+    for (const T& element : v) Put(element);
+  }
+  void Put(const Message auto& m) {
+    std::apply([this](const auto&... field) { (Put(field), ...); },
+               Fields(m));
+  }
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// Bounds-checked consumer. The first problem (a read past the end, an
+/// out-of-range enum, a count the remaining bytes cannot hold) is kept and
+/// every later read yields zero values; Finish reports it, or trailing
+/// bytes, so malformed payloads surface as kInvalidArgument instead of
+/// crashes, giant allocations or silent misparses.
+class Reader {
+ public:
+  explicit Reader(std::string_view data) : data_(data) {}
+
+  void Get(uint8_t& v) {
+    const char* p = Take(1);
+    v = p == nullptr ? 0 : static_cast<uint8_t>(*p);
+  }
+  void Get(bool& v) {
+    uint8_t byte = 0;
+    Get(byte);
+    v = byte != 0;
+  }
+  void Get(int32_t& v) { v = static_cast<int32_t>(U32()); }
+  void Get(uint64_t& v) {
+    const uint64_t lo = U32();
+    const uint64_t hi = U32();
+    v = lo | (hi << 32);
+  }
+  void Get(int64_t& v) {
+    uint64_t bits = 0;
+    Get(bits);
+    v = static_cast<int64_t>(bits);
+  }
+  void Get(double& v) {
+    uint64_t bits = 0;
+    Get(bits);
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  void Get(std::string& v) {
+    const uint32_t n = U32();
+    // Checked against the bytes actually present: a garbage length fails
+    // the read instead of allocating.
+    if (const char* p = Take(n)) v.assign(p, n);
+  }
+  template <Enum E>
+  void Get(E& v) {
+    uint8_t raw = 0;
+    Get(raw);
+    if (raw > static_cast<uint8_t>(MaxValue(E{}))) {
+      Fail("enum value " + std::to_string(raw) + " out of range");
+      return;
+    }
+    v = static_cast<E>(raw);
+  }
+  template <typename T>
+  void Get(std::vector<T>& v) {
+    static_assert(MinBytes<T>() > 0);
+    const uint32_t n = U32();
+    // A count the remaining bytes cannot hold fails here, before the
+    // allocation, rather than after a giant resize.
+    if (error_.empty() && (data_.size() - pos_) / MinBytes<T>() < n) {
+      Fail("truncated");
+    }
+    if (!error_.empty()) return;
+    v.resize(n);
+    for (T& element : v) Get(element);
+  }
+  void Get(Message auto& m) {
+    std::apply([this](auto&... field) { (Get(field), ...); }, Fields(m));
+  }
+
+  /// kInvalidArgument naming `what` unless the payload parsed cleanly and
+  /// completely.
+  Status Finish(const char* what) const {
+    if (error_.empty() && pos_ == data_.size()) return Status::OK();
+    return Status::InvalidArgument(
+        std::string("wire: malformed ") + what + " payload (" +
+        (error_.empty() ? std::string("trailing bytes") : error_) + ")");
+  }
+
+ private:
+  const char* Take(size_t n) {
+    if (!error_.empty() || data_.size() - pos_ < n) {
+      Fail("truncated");
+      return nullptr;
+    }
+    const char* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  uint32_t U32() {
+    const char* p = Take(4);
+    return p == nullptr ? 0 : ReadU32(p);
+  }
+  void Fail(std::string why) {
+    if (error_.empty()) error_ = std::move(why);
+  }
+
+  std::string_view data_;
+  size_t pos_ = 0;
+  std::string error_;  // the first problem; empty while the parse is clean
+};
+
+template <typename M>
+std::string Encode(const M& message) {
+  Writer writer;
+  writer.Put(message);
+  return writer.Take();
+}
+
+template <typename M>
+Result<M> Decode(std::string_view payload, const char* what) {
+  Reader reader(payload);
+  M message;
+  reader.Get(message);
+  QTF_RETURN_NOT_OK(reader.Finish(what));
+  return message;
+}
+
+/// Decodes `payload` as alternative I of Variant.
+template <typename Variant, size_t I>
+Result<Variant> DecodeAlternative(std::string_view payload,
+                                  const char* what) {
+  QTF_ASSIGN_OR_RETURN(
+      auto message,
+      (Decode<std::variant_alternative_t<I, Variant>>(payload, what)));
+  return Variant(std::in_place_index<I>, std::move(message));
+}
+
+/// Decodes a payload of `type` into the Variant alternative whose row in
+/// kMessages carries `type` on the given side (request or response).
+template <typename Variant>
+Result<Variant> DecodeVariant(MessageType type, std::string_view payload,
+                              MessageType MessagePair::*side,
+                              const char* kind) {
+  using Decoder = Result<Variant> (*)(std::string_view, const char*);
+  static constexpr auto kDecoders = []<size_t... I>(std::index_sequence<I...>) {
+    return std::array<Decoder, sizeof...(I)>{
+        &DecodeAlternative<Variant, I>...};
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+  const int row = RowOf(type);
+  if (row < 0 || kMessages[row].*side != type) {
+    return Status::InvalidArgument(std::string("wire: not a ") + kind +
+                                   " message type: " +
+                                   MessageTypeToString(type));
+  }
+  return kDecoders[static_cast<size_t>(row)](payload,
+                                             MessageTypeToString(type));
+}
+
 }  // namespace
 
 const char* MessageTypeToString(MessageType type) {
-  switch (type) {
-    case MessageType::kError:
-      return "error";
-    case MessageType::kGenerateRequest:
-      return "generate_request";
-    case MessageType::kGenerateResponse:
-      return "generate_response";
-    case MessageType::kOptimizeRequest:
-      return "optimize_request";
-    case MessageType::kOptimizeResponse:
-      return "optimize_response";
-    case MessageType::kCompressSuiteRequest:
-      return "compress_suite_request";
-    case MessageType::kCompressSuiteResponse:
-      return "compress_suite_response";
-    case MessageType::kCorrectnessRequest:
-      return "correctness_request";
-    case MessageType::kCorrectnessResponse:
-      return "correctness_response";
-    case MessageType::kMetricsRequest:
-      return "metrics_request";
-    case MessageType::kMetricsResponse:
-      return "metrics_response";
-    case MessageType::kSqlRequest:
-      return "sql_request";
-    case MessageType::kSqlResponse:
-      return "sql_response";
-    case MessageType::kLoadRulesRequest:
-      return "load_rules_request";
-    case MessageType::kLoadRulesResponse:
-      return "load_rules_response";
-    case MessageType::kListRulesRequest:
-      return "list_rules_request";
-    case MessageType::kListRulesResponse:
-      return "list_rules_response";
-  }
-  return "unknown";
+  if (type == MessageType::kError) return "error";
+  const int row = RowOf(type);
+  if (row < 0) return "unknown";
+  return kMessages[row].request == type ? kMessages[row].request_name
+                                        : kMessages[row].response_name;
 }
 
 bool IsRequestType(MessageType type) {
-  switch (type) {
-    case MessageType::kGenerateRequest:
-    case MessageType::kOptimizeRequest:
-    case MessageType::kCompressSuiteRequest:
-    case MessageType::kCorrectnessRequest:
-    case MessageType::kMetricsRequest:
-    case MessageType::kSqlRequest:
-    case MessageType::kLoadRulesRequest:
-    case MessageType::kListRulesRequest:
-      return true;
-    default:
-      return false;
-  }
+  const int row = RowOf(type);
+  return row >= 0 && kMessages[row].request == type;
 }
 
 MessageType ResponseTypeFor(MessageType request_type) {
-  // Request/response pairs are adjacent in the numbering: response = req + 1.
   QTF_CHECK(IsRequestType(request_type));
-  return static_cast<MessageType>(static_cast<uint8_t>(request_type) + 1);
+  return kMessages[RowOf(request_type)].response;
 }
 
 std::string EncodeFrame(MessageType type, uint32_t request_id,
@@ -119,7 +442,7 @@ Result<bool> FrameDecoder::Next(Frame* frame) {
                                    std::to_string(version));
   }
   const uint8_t type = static_cast<uint8_t>(p[5]);
-  if (type > kMaxMessageType) {
+  if (type != 0 && RowOf(static_cast<MessageType>(type)) < 0) {
     return Status::InvalidArgument("wire: unknown message type " +
                                    std::to_string(type));
   }
@@ -140,861 +463,66 @@ Result<bool> FrameDecoder::Next(Frame* frame) {
   return true;
 }
 
-// --- PayloadWriter / PayloadReader ---------------------------------------
-
-void PayloadWriter::U32(uint32_t v) { AppendU32(&out_, v); }
-
-void PayloadWriter::U64(uint64_t v) {
-  U32(static_cast<uint32_t>(v & 0xffffffffu));
-  U32(static_cast<uint32_t>(v >> 32));
-}
-
-void PayloadWriter::F64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void PayloadWriter::Str(std::string_view v) {
-  U32(static_cast<uint32_t>(v.size()));
-  out_.append(v);
-}
-
-void PayloadWriter::RuleIds(const std::vector<RuleId>& ids) {
-  U32(static_cast<uint32_t>(ids.size()));
-  for (RuleId id : ids) I32(static_cast<int32_t>(id));
-}
-
-bool PayloadReader::Take(size_t n, const char** out) {
-  if (failed_ || data_.size() - pos_ < n) {
-    failed_ = true;
-    return false;
-  }
-  *out = data_.data() + pos_;
-  pos_ += n;
-  return true;
-}
-
-uint8_t PayloadReader::U8() {
-  const char* p;
-  if (!Take(1, &p)) return 0;
-  return static_cast<uint8_t>(*p);
-}
-
-uint32_t PayloadReader::U32() {
-  const char* p;
-  if (!Take(4, &p)) return 0;
-  return ReadU32(p);
-}
-
-uint64_t PayloadReader::U64() {
-  const uint64_t lo = U32();
-  const uint64_t hi = U32();
-  return lo | (hi << 32);
-}
-
-double PayloadReader::F64() {
-  const uint64_t bits = U64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string PayloadReader::Str() {
-  const uint32_t n = U32();
-  // Length validated against the bytes actually present: a garbage count
-  // fails the read instead of triggering a giant allocation.
-  const char* p;
-  if (!Take(n, &p)) return std::string();
-  return std::string(p, n);
-}
-
-std::vector<RuleId> PayloadReader::RuleIds() {
-  const uint32_t n = U32();
-  if (failed_ || remaining() / 4 < n) {
-    failed_ = true;
-    return {};
-  }
-  std::vector<RuleId> ids;
-  ids.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) ids.push_back(static_cast<RuleId>(I32()));
-  return ids;
-}
-
-Status PayloadReader::Finish(const char* what) const {
-  if (!failed_ && AtEnd()) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("wire: malformed ") + what + " payload" +
-      (failed_ ? " (truncated)" : " (trailing bytes)"));
-}
-
-// --- Request options ------------------------------------------------------
-
-namespace {
-
-void WriteOptions(PayloadWriter* w, const service::RequestOptions& options) {
-  // `cancel` deliberately does not travel: remote cancellation is closing
-  // the connection.
-  w->F64(options.budget.wall_seconds);
-  w->I32(options.budget.max_memo_groups);
-  w->I64(options.budget.max_memo_exprs);
-  w->F64(options.deadline_seconds);
-}
-
-void ReadOptions(PayloadReader* r, service::RequestOptions* options) {
-  options->budget.wall_seconds = r->F64();
-  options->budget.max_memo_groups = r->I32();
-  options->budget.max_memo_exprs = r->I64();
-  options->deadline_seconds = r->F64();
-}
-
-void WriteSuiteSpec(PayloadWriter* w, const service::SuiteSpec& spec) {
-  w->I32(spec.n_rules);
-  w->Bool(spec.pairs);
-  w->I32(spec.k);
-  w->U8(static_cast<uint8_t>(spec.method));
-  w->I32(spec.max_trials);
-  w->I32(spec.extra_ops);
-  w->U64(spec.seed);
-}
-
-Status ReadSuiteSpec(PayloadReader* r, service::SuiteSpec* spec) {
-  spec->n_rules = r->I32();
-  spec->pairs = r->Bool();
-  spec->k = r->I32();
-  const uint8_t method = r->U8();
-  if (r->ok() && method > static_cast<uint8_t>(GenerationMethod::kPattern)) {
-    return Status::InvalidArgument("wire: unknown generation method " +
-                                   std::to_string(method));
-  }
-  spec->method = static_cast<GenerationMethod>(method);
-  spec->max_trials = r->I32();
-  spec->extra_ops = r->I32();
-  spec->seed = r->U64();
-  return Status::OK();
-}
-
-Result<service::CompressionAlgorithm> ReadAlgorithm(PayloadReader* r) {
-  const uint8_t algorithm = r->U8();
-  if (r->ok() &&
-      algorithm >
-          static_cast<uint8_t>(
-              service::CompressionAlgorithm::kNoSharingMatching)) {
-    return Status::InvalidArgument("wire: unknown compression algorithm " +
-                                   std::to_string(algorithm));
-  }
-  return static_cast<service::CompressionAlgorithm>(algorithm);
-}
-
-}  // namespace
-
-// --- Generate -------------------------------------------------------------
-
-std::string EncodeGenerateRequest(const service::GenerateRequest& request) {
-  PayloadWriter w;
-  w.RuleIds(request.targets);
-  w.U8(static_cast<uint8_t>(request.method));
-  w.I32(request.max_trials);
-  w.I32(request.extra_ops);
-  w.U64(request.seed);
-  w.Bool(request.require_relevant);
-  WriteOptions(&w, request.options);
-  return w.Take();
-}
-
-Result<service::GenerateRequest> DecodeGenerateRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::GenerateRequest request;
-  request.targets = r.RuleIds();
-  const uint8_t method = r.U8();
-  if (r.ok() && method > static_cast<uint8_t>(GenerationMethod::kPattern)) {
-    return Status::InvalidArgument("wire: unknown generation method " +
-                                   std::to_string(method));
-  }
-  request.method = static_cast<GenerationMethod>(method);
-  request.max_trials = r.I32();
-  request.extra_ops = r.I32();
-  request.seed = r.U64();
-  request.require_relevant = r.Bool();
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("generate request"));
-  return request;
-}
-
-std::string EncodeGenerateResponse(const service::GenerateResponse& response) {
-  PayloadWriter w;
-  w.Bool(response.success);
-  w.Str(response.sql);
-  w.RuleIds(response.rule_set);
-  w.F64(response.cost);
-  w.I32(response.operator_count);
-  w.I32(response.trials);
-  return w.Take();
-}
-
-Result<service::GenerateResponse> DecodeGenerateResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::GenerateResponse response;
-  response.success = r.Bool();
-  response.sql = r.Str();
-  response.rule_set = r.RuleIds();
-  response.cost = r.F64();
-  response.operator_count = r.I32();
-  response.trials = r.I32();
-  QTF_RETURN_NOT_OK(r.Finish("generate response"));
-  return response;
-}
-
-// --- Optimize -------------------------------------------------------------
-
-std::string EncodeOptimizeRequest(const service::OptimizeRequest& request) {
-  PayloadWriter w;
-  w.U64(request.seed);
-  w.I32(request.min_ops);
-  w.I32(request.max_ops);
-  w.RuleIds(request.disabled_rules);
-  WriteOptions(&w, request.options);
-  return w.Take();
-}
-
-Result<service::OptimizeRequest> DecodeOptimizeRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::OptimizeRequest request;
-  request.seed = r.U64();
-  request.min_ops = r.I32();
-  request.max_ops = r.I32();
-  request.disabled_rules = r.RuleIds();
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("optimize request"));
-  return request;
-}
-
-std::string EncodeOptimizeResponse(const service::OptimizeResponse& response) {
-  PayloadWriter w;
-  w.Str(response.sql);
-  w.F64(response.cost);
-  w.RuleIds(response.exercised_rules);
-  w.I32(response.group_count);
-  w.I64(response.expr_count);
-  w.Bool(response.budget_exhausted);
-  return w.Take();
-}
-
-Result<service::OptimizeResponse> DecodeOptimizeResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::OptimizeResponse response;
-  response.sql = r.Str();
-  response.cost = r.F64();
-  response.exercised_rules = r.RuleIds();
-  response.group_count = r.I32();
-  response.expr_count = r.I64();
-  response.budget_exhausted = r.Bool();
-  QTF_RETURN_NOT_OK(r.Finish("optimize response"));
-  return response;
-}
-
-// --- CompressSuite --------------------------------------------------------
-
-std::string EncodeCompressSuiteRequest(
-    const service::CompressSuiteRequest& request) {
-  PayloadWriter w;
-  WriteSuiteSpec(&w, request.suite);
-  w.U8(static_cast<uint8_t>(request.algorithm));
-  w.Bool(request.exploit_monotonicity);
-  WriteOptions(&w, request.options);
-  return w.Take();
-}
-
-Result<service::CompressSuiteRequest> DecodeCompressSuiteRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::CompressSuiteRequest request;
-  QTF_RETURN_NOT_OK(ReadSuiteSpec(&r, &request.suite));
-  QTF_ASSIGN_OR_RETURN(request.algorithm, ReadAlgorithm(&r));
-  request.exploit_monotonicity = r.Bool();
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("compress suite request"));
-  return request;
-}
-
-std::string EncodeCompressSuiteResponse(
-    const service::CompressSuiteResponse& response) {
-  PayloadWriter w;
-  w.I32(response.suite_queries);
-  w.U32(static_cast<uint32_t>(response.assignment.size()));
-  for (const std::vector<int32_t>& queries : response.assignment) {
-    w.U32(static_cast<uint32_t>(queries.size()));
-    for (int32_t q : queries) w.I32(q);
-  }
-  w.F64(response.total_cost);
-  w.I64(response.optimizer_calls);
-  w.I32(response.degraded_targets);
-  w.I32(response.estimated_edges);
-  return w.Take();
-}
-
-Result<service::CompressSuiteResponse> DecodeCompressSuiteResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::CompressSuiteResponse response;
-  response.suite_queries = r.I32();
-  const uint32_t targets = r.U32();
-  // Each target costs at least a 4-byte count; cap against remaining bytes
-  // so a garbage count cannot drive a huge reserve/loop.
-  if (!r.ok() || r.remaining() / 4 < targets) {
-    return Status::InvalidArgument(
-        "wire: malformed compress suite response payload (truncated)");
-  }
-  response.assignment.reserve(targets);
-  for (uint32_t t = 0; t < targets; ++t) {
-    const uint32_t count = r.U32();
-    if (!r.ok() || r.remaining() / 4 < count) {
-      return Status::InvalidArgument(
-          "wire: malformed compress suite response payload (truncated)");
-    }
-    std::vector<int32_t> queries;
-    queries.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) queries.push_back(r.I32());
-    response.assignment.push_back(std::move(queries));
-  }
-  response.total_cost = r.F64();
-  response.optimizer_calls = r.I64();
-  response.degraded_targets = r.I32();
-  response.estimated_edges = r.I32();
-  QTF_RETURN_NOT_OK(r.Finish("compress suite response"));
-  return response;
-}
-
-// --- Correctness ----------------------------------------------------------
-
-std::string EncodeCorrectnessRequest(
-    const service::CorrectnessRequest& request) {
-  PayloadWriter w;
-  WriteSuiteSpec(&w, request.suite);
-  w.U8(static_cast<uint8_t>(request.algorithm));
-  w.Bool(request.exploit_monotonicity);
-  WriteOptions(&w, request.options);
-  return w.Take();
-}
-
-Result<service::CorrectnessRequest> DecodeCorrectnessRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::CorrectnessRequest request;
-  QTF_RETURN_NOT_OK(ReadSuiteSpec(&r, &request.suite));
-  QTF_ASSIGN_OR_RETURN(request.algorithm, ReadAlgorithm(&r));
-  request.exploit_monotonicity = r.Bool();
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("correctness request"));
-  return request;
-}
-
-std::string EncodeCorrectnessResponse(
-    const service::CorrectnessResponse& response) {
-  PayloadWriter w;
-  w.I32(response.plans_executed);
-  w.I32(response.skipped_identical_plans);
-  w.I32(response.skipped_unavailable);
-  w.U32(static_cast<uint32_t>(response.violations.size()));
-  for (const service::ViolationSummary& v : response.violations) {
-    w.I32(v.target);
-    w.I32(v.query);
-    w.Str(v.target_name);
-    w.Str(v.sql);
-    w.I64(v.base_rows);
-    w.I64(v.restricted_rows);
-  }
-  return w.Take();
-}
-
-Result<service::CorrectnessResponse> DecodeCorrectnessResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::CorrectnessResponse response;
-  response.plans_executed = r.I32();
-  response.skipped_identical_plans = r.I32();
-  response.skipped_unavailable = r.I32();
-  const uint32_t violations = r.U32();
-  // A violation is at least 32 bytes on the wire; bound the count by that.
-  if (!r.ok() || r.remaining() / 32 < violations) {
-    return Status::InvalidArgument(
-        "wire: malformed correctness response payload (truncated)");
-  }
-  response.violations.reserve(violations);
-  for (uint32_t i = 0; i < violations; ++i) {
-    service::ViolationSummary v;
-    v.target = r.I32();
-    v.query = r.I32();
-    v.target_name = r.Str();
-    v.sql = r.Str();
-    v.base_rows = r.I64();
-    v.restricted_rows = r.I64();
-    response.violations.push_back(std::move(v));
-  }
-  QTF_RETURN_NOT_OK(r.Finish("correctness response"));
-  return response;
-}
-
-// --- Sql ------------------------------------------------------------------
-
 std::string EncodeSqlRequest(const service::SqlRequest& request) {
-  PayloadWriter w;
-  w.Str(request.sql);
-  w.U8(static_cast<uint8_t>(request.mode));
-  WriteOptions(&w, request.options);
-  return w.Take();
+  return Encode(request);
 }
 
 Result<service::SqlRequest> DecodeSqlRequest(std::string_view payload) {
-  PayloadReader r(payload);
-  service::SqlRequest request;
-  request.sql = r.Str();
-  const uint8_t mode = r.U8();
-  if (r.ok() && mode > static_cast<uint8_t>(service::SqlMode::kCorrectness)) {
-    return Status::InvalidArgument("wire: unknown sql mode " +
-                                   std::to_string(mode));
-  }
-  request.mode = static_cast<service::SqlMode>(mode);
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("sql request"));
-  return request;
+  return Decode<service::SqlRequest>(
+      payload, MessageTypeToString(MessageType::kSqlRequest));
 }
 
 std::string EncodeSqlResponse(const service::SqlResponse& response) {
-  PayloadWriter w;
-  w.U64(response.fingerprint);
-  w.Str(response.canonical_sql);
-  w.I32(response.operator_count);
-  w.F64(response.cost);
-  w.RuleIds(response.exercised_rules);
-  w.I32(response.group_count);
-  w.I64(response.expr_count);
-  w.Bool(response.budget_exhausted);
-  w.I32(response.plans_executed);
-  w.I32(response.skipped_identical_plans);
-  w.I32(response.skipped_unavailable);
-  w.U32(static_cast<uint32_t>(response.violations.size()));
-  for (const service::ViolationSummary& v : response.violations) {
-    w.I32(v.target);
-    w.I32(v.query);
-    w.Str(v.target_name);
-    w.Str(v.sql);
-    w.I64(v.base_rows);
-    w.I64(v.restricted_rows);
-  }
-  return w.Take();
+  return Encode(response);
 }
 
 Result<service::SqlResponse> DecodeSqlResponse(std::string_view payload) {
-  PayloadReader r(payload);
-  service::SqlResponse response;
-  response.fingerprint = r.U64();
-  response.canonical_sql = r.Str();
-  response.operator_count = r.I32();
-  response.cost = r.F64();
-  response.exercised_rules = r.RuleIds();
-  response.group_count = r.I32();
-  response.expr_count = r.I64();
-  response.budget_exhausted = r.Bool();
-  response.plans_executed = r.I32();
-  response.skipped_identical_plans = r.I32();
-  response.skipped_unavailable = r.I32();
-  const uint32_t violations = r.U32();
-  // A violation is at least 32 bytes on the wire; bound the count by that.
-  if (!r.ok() || r.remaining() / 32 < violations) {
-    return Status::InvalidArgument(
-        "wire: malformed sql response payload (truncated)");
-  }
-  response.violations.reserve(violations);
-  for (uint32_t i = 0; i < violations; ++i) {
-    service::ViolationSummary v;
-    v.target = r.I32();
-    v.query = r.I32();
-    v.target_name = r.Str();
-    v.sql = r.Str();
-    v.base_rows = r.I64();
-    v.restricted_rows = r.I64();
-    response.violations.push_back(std::move(v));
-  }
-  QTF_RETURN_NOT_OK(r.Finish("sql response"));
-  return response;
+  return Decode<service::SqlResponse>(
+      payload, MessageTypeToString(MessageType::kSqlResponse));
 }
-
-// --- LoadRules / ListRules ------------------------------------------------
-
-std::string EncodeLoadRulesRequest(const service::LoadRulesRequest& request) {
-  PayloadWriter w;
-  w.Str(request.text);
-  w.Bool(request.dry_run);
-  WriteOptions(&w, request.options);
-  return w.Take();
-}
-
-Result<service::LoadRulesRequest> DecodeLoadRulesRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::LoadRulesRequest request;
-  request.text = r.Str();
-  request.dry_run = r.Bool();
-  ReadOptions(&r, &request.options);
-  QTF_RETURN_NOT_OK(r.Finish("load rules request"));
-  return request;
-}
-
-std::string EncodeLoadRulesResponse(
-    const service::LoadRulesResponse& response) {
-  PayloadWriter w;
-  w.RuleIds(response.ids);
-  w.U32(static_cast<uint32_t>(response.names.size()));
-  for (const std::string& name : response.names) w.Str(name);
-  w.I32(response.compiled);
-  return w.Take();
-}
-
-Result<service::LoadRulesResponse> DecodeLoadRulesResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::LoadRulesResponse response;
-  response.ids = r.RuleIds();
-  const uint32_t names = r.U32();
-  // Each name costs at least its 4-byte length prefix; cap the count by
-  // the bytes actually present.
-  if (!r.ok() || r.remaining() / 4 < names) {
-    return Status::InvalidArgument(
-        "wire: malformed load rules response payload (truncated)");
-  }
-  response.names.reserve(names);
-  for (uint32_t i = 0; i < names; ++i) response.names.push_back(r.Str());
-  response.compiled = r.I32();
-  QTF_RETURN_NOT_OK(r.Finish("load rules response"));
-  return response;
-}
-
-std::string EncodeListRulesRequest(const service::ListRulesRequest& request) {
-  (void)request;
-  return std::string();
-}
-
-Result<service::ListRulesRequest> DecodeListRulesRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::ListRulesRequest request;
-  QTF_RETURN_NOT_OK(r.Finish("list rules request"));
-  return request;
-}
-
-std::string EncodeListRulesResponse(
-    const service::ListRulesResponse& response) {
-  PayloadWriter w;
-  w.U32(static_cast<uint32_t>(response.rules.size()));
-  for (const service::RuleInfo& rule : response.rules) {
-    w.I32(rule.id);
-    w.Str(rule.name);
-    w.U8(rule.type);
-    w.Str(rule.pattern);
-    w.U8(rule.origin);
-  }
-  return w.Take();
-}
-
-Result<service::ListRulesResponse> DecodeListRulesResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::ListRulesResponse response;
-  const uint32_t count = r.U32();
-  // A rule row is at least 14 bytes (id + two length prefixes + two
-  // bytes); bound the count so garbage cannot drive a huge reserve.
-  if (!r.ok() || r.remaining() / 14 < count) {
-    return Status::InvalidArgument(
-        "wire: malformed list rules response payload (truncated)");
-  }
-  response.rules.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    service::RuleInfo rule;
-    rule.id = static_cast<RuleId>(r.I32());
-    rule.name = r.Str();
-    rule.type = r.U8();
-    rule.pattern = r.Str();
-    rule.origin = r.U8();
-    response.rules.push_back(std::move(rule));
-  }
-  QTF_RETURN_NOT_OK(r.Finish("list rules response"));
-  return response;
-}
-
-// --- Metrics --------------------------------------------------------------
-
-std::string EncodeMetricsRequest(const service::MetricsRequest& request) {
-  PayloadWriter w;
-  w.Bool(request.text);
-  return w.Take();
-}
-
-Result<service::MetricsRequest> DecodeMetricsRequest(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::MetricsRequest request;
-  request.text = r.Bool();
-  QTF_RETURN_NOT_OK(r.Finish("metrics request"));
-  return request;
-}
-
-std::string EncodeMetricsResponse(const service::MetricsResponse& response) {
-  PayloadWriter w;
-  w.Str(response.body);
-  return w.Take();
-}
-
-Result<service::MetricsResponse> DecodeMetricsResponse(
-    std::string_view payload) {
-  PayloadReader r(payload);
-  service::MetricsResponse response;
-  response.body = r.Str();
-  QTF_RETURN_NOT_OK(r.Finish("metrics response"));
-  return response;
-}
-
-// --- Error ----------------------------------------------------------------
 
 std::string EncodeError(const Status& status) {
-  PayloadWriter w;
-  w.I32(StatusCodeToWire(status.code()));
-  w.Str(status.message());
-  return w.Take();
+  return Encode(ErrorPayload{StatusCodeToWire(status.code()),
+                             status.message()});
 }
 
 Status DecodeError(std::string_view payload, Status* error) {
-  PayloadReader r(payload);
-  const StatusCode code = StatusCodeFromWire(r.I32());
-  std::string message = r.Str();
-  QTF_RETURN_NOT_OK(r.Finish("error"));
-  *error = Status(code, std::move(message));
+  QTF_ASSIGN_OR_RETURN(ErrorPayload decoded,
+                       Decode<ErrorPayload>(payload, "error"));
+  *error = Status(StatusCodeFromWire(decoded.code), std::move(decoded.message));
   return Status::OK();
 }
 
-// --- Variant-level dispatch ----------------------------------------------
-
 MessageType RequestType(const service::ServiceRequest& request) {
-  struct Visitor {
-    MessageType operator()(const service::GenerateRequest&) const {
-      return MessageType::kGenerateRequest;
-    }
-    MessageType operator()(const service::OptimizeRequest&) const {
-      return MessageType::kOptimizeRequest;
-    }
-    MessageType operator()(const service::CompressSuiteRequest&) const {
-      return MessageType::kCompressSuiteRequest;
-    }
-    MessageType operator()(const service::CorrectnessRequest&) const {
-      return MessageType::kCorrectnessRequest;
-    }
-    MessageType operator()(const service::SqlRequest&) const {
-      return MessageType::kSqlRequest;
-    }
-    MessageType operator()(const service::LoadRulesRequest&) const {
-      return MessageType::kLoadRulesRequest;
-    }
-    MessageType operator()(const service::ListRulesRequest&) const {
-      return MessageType::kListRulesRequest;
-    }
-    MessageType operator()(const service::MetricsRequest&) const {
-      return MessageType::kMetricsRequest;
-    }
-  };
-  return std::visit(Visitor{}, request);
+  return kMessages[request.index()].request;
 }
 
 MessageType ResponseType(const service::ServiceResponse& response) {
-  struct Visitor {
-    MessageType operator()(const service::GenerateResponse&) const {
-      return MessageType::kGenerateResponse;
-    }
-    MessageType operator()(const service::OptimizeResponse&) const {
-      return MessageType::kOptimizeResponse;
-    }
-    MessageType operator()(const service::CompressSuiteResponse&) const {
-      return MessageType::kCompressSuiteResponse;
-    }
-    MessageType operator()(const service::CorrectnessResponse&) const {
-      return MessageType::kCorrectnessResponse;
-    }
-    MessageType operator()(const service::SqlResponse&) const {
-      return MessageType::kSqlResponse;
-    }
-    MessageType operator()(const service::LoadRulesResponse&) const {
-      return MessageType::kLoadRulesResponse;
-    }
-    MessageType operator()(const service::ListRulesResponse&) const {
-      return MessageType::kListRulesResponse;
-    }
-    MessageType operator()(const service::MetricsResponse&) const {
-      return MessageType::kMetricsResponse;
-    }
-  };
-  return std::visit(Visitor{}, response);
+  return kMessages[response.index()].response;
 }
 
 std::string EncodeRequest(const service::ServiceRequest& request) {
-  struct Visitor {
-    std::string operator()(const service::GenerateRequest& r) const {
-      return EncodeGenerateRequest(r);
-    }
-    std::string operator()(const service::OptimizeRequest& r) const {
-      return EncodeOptimizeRequest(r);
-    }
-    std::string operator()(const service::CompressSuiteRequest& r) const {
-      return EncodeCompressSuiteRequest(r);
-    }
-    std::string operator()(const service::CorrectnessRequest& r) const {
-      return EncodeCorrectnessRequest(r);
-    }
-    std::string operator()(const service::SqlRequest& r) const {
-      return EncodeSqlRequest(r);
-    }
-    std::string operator()(const service::LoadRulesRequest& r) const {
-      return EncodeLoadRulesRequest(r);
-    }
-    std::string operator()(const service::ListRulesRequest& r) const {
-      return EncodeListRulesRequest(r);
-    }
-    std::string operator()(const service::MetricsRequest& r) const {
-      return EncodeMetricsRequest(r);
-    }
-  };
-  return std::visit(Visitor{}, request);
+  return std::visit([](const auto& message) { return Encode(message); },
+                    request);
 }
 
 Result<service::ServiceRequest> DecodeRequest(MessageType type,
                                               std::string_view payload) {
-  switch (type) {
-    case MessageType::kGenerateRequest: {
-      QTF_ASSIGN_OR_RETURN(service::GenerateRequest r,
-                           DecodeGenerateRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kOptimizeRequest: {
-      QTF_ASSIGN_OR_RETURN(service::OptimizeRequest r,
-                           DecodeOptimizeRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kCompressSuiteRequest: {
-      QTF_ASSIGN_OR_RETURN(service::CompressSuiteRequest r,
-                           DecodeCompressSuiteRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kCorrectnessRequest: {
-      QTF_ASSIGN_OR_RETURN(service::CorrectnessRequest r,
-                           DecodeCorrectnessRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kSqlRequest: {
-      QTF_ASSIGN_OR_RETURN(service::SqlRequest r, DecodeSqlRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kLoadRulesRequest: {
-      QTF_ASSIGN_OR_RETURN(service::LoadRulesRequest r,
-                           DecodeLoadRulesRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kListRulesRequest: {
-      QTF_ASSIGN_OR_RETURN(service::ListRulesRequest r,
-                           DecodeListRulesRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    case MessageType::kMetricsRequest: {
-      QTF_ASSIGN_OR_RETURN(service::MetricsRequest r,
-                           DecodeMetricsRequest(payload));
-      return service::ServiceRequest(std::move(r));
-    }
-    default:
-      return Status::InvalidArgument(
-          std::string("wire: not a request message type: ") +
-          MessageTypeToString(type));
-  }
+  return DecodeVariant<service::ServiceRequest>(type, payload,
+                                                &MessagePair::request,
+                                                "request");
 }
 
 std::string EncodeResponse(const service::ServiceResponse& response) {
-  struct Visitor {
-    std::string operator()(const service::GenerateResponse& r) const {
-      return EncodeGenerateResponse(r);
-    }
-    std::string operator()(const service::OptimizeResponse& r) const {
-      return EncodeOptimizeResponse(r);
-    }
-    std::string operator()(const service::CompressSuiteResponse& r) const {
-      return EncodeCompressSuiteResponse(r);
-    }
-    std::string operator()(const service::CorrectnessResponse& r) const {
-      return EncodeCorrectnessResponse(r);
-    }
-    std::string operator()(const service::SqlResponse& r) const {
-      return EncodeSqlResponse(r);
-    }
-    std::string operator()(const service::LoadRulesResponse& r) const {
-      return EncodeLoadRulesResponse(r);
-    }
-    std::string operator()(const service::ListRulesResponse& r) const {
-      return EncodeListRulesResponse(r);
-    }
-    std::string operator()(const service::MetricsResponse& r) const {
-      return EncodeMetricsResponse(r);
-    }
-  };
-  return std::visit(Visitor{}, response);
+  return std::visit([](const auto& message) { return Encode(message); },
+                    response);
 }
 
 Result<service::ServiceResponse> DecodeResponse(MessageType type,
                                                 std::string_view payload) {
-  switch (type) {
-    case MessageType::kGenerateResponse: {
-      QTF_ASSIGN_OR_RETURN(service::GenerateResponse r,
-                           DecodeGenerateResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kOptimizeResponse: {
-      QTF_ASSIGN_OR_RETURN(service::OptimizeResponse r,
-                           DecodeOptimizeResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kCompressSuiteResponse: {
-      QTF_ASSIGN_OR_RETURN(service::CompressSuiteResponse r,
-                           DecodeCompressSuiteResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kCorrectnessResponse: {
-      QTF_ASSIGN_OR_RETURN(service::CorrectnessResponse r,
-                           DecodeCorrectnessResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kSqlResponse: {
-      QTF_ASSIGN_OR_RETURN(service::SqlResponse r, DecodeSqlResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kLoadRulesResponse: {
-      QTF_ASSIGN_OR_RETURN(service::LoadRulesResponse r,
-                           DecodeLoadRulesResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kListRulesResponse: {
-      QTF_ASSIGN_OR_RETURN(service::ListRulesResponse r,
-                           DecodeListRulesResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    case MessageType::kMetricsResponse: {
-      QTF_ASSIGN_OR_RETURN(service::MetricsResponse r,
-                           DecodeMetricsResponse(payload));
-      return service::ServiceResponse(std::move(r));
-    }
-    default:
-      return Status::InvalidArgument(
-          std::string("wire: not a response message type: ") +
-          MessageTypeToString(type));
-  }
+  return DecodeVariant<service::ServiceResponse>(type, payload,
+                                                 &MessagePair::response,
+                                                 "response");
 }
 
 }  // namespace net

@@ -30,7 +30,7 @@ namespace net {
 /// tagged with the id of the request it answers, so one connection can
 /// have many requests in flight.
 inline constexpr uint32_t kFrameMagic = 0x51544657;  // "QTFW"
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Upper bound on a frame payload. Anything larger is a protocol error
 /// (the connection is closed), which also caps what a hostile peer can
@@ -42,8 +42,9 @@ enum class MessageType : uint8_t {
   kError = 0,
   kGenerateRequest = 1,
   kGenerateResponse = 2,
-  kOptimizeRequest = 3,
-  kOptimizeResponse = 4,
+  // 3 and 4 carried the Optimize pair of wire version 1, which SqlRequest
+  // subsumes. They stay unused, and frames carrying them are rejected as
+  // an unknown type.
   kCompressSuiteRequest = 5,
   kCompressSuiteResponse = 6,
   kCorrectnessRequest = 7,
@@ -57,8 +58,6 @@ enum class MessageType : uint8_t {
   kListRulesRequest = 15,
   kListRulesResponse = 16,
 };
-inline constexpr uint8_t kMaxMessageType =
-    static_cast<uint8_t>(MessageType::kListRulesResponse);
 
 const char* MessageTypeToString(MessageType type);
 bool IsRequestType(MessageType type);
@@ -96,128 +95,26 @@ class FrameDecoder {
   std::string buffer_;
 };
 
-/// Append-only payload builder. All integers little-endian; doubles as
-/// their IEEE-754 bit pattern; strings and vectors length-prefixed with
-/// u32 counts.
-class PayloadWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  void Str(std::string_view v);
-  void RuleIds(const std::vector<RuleId>& ids);
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked payload consumer. Reads past the end set the failed
-/// flag and return zero values; every Decode* function finishes with
-/// Finish(), which demands ok() and full consumption, so truncated,
-/// oversized and garbage payloads all surface as kInvalidArgument instead
-/// of crashes or silent misparses.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  uint8_t U8();
-  bool Bool() { return U8() != 0; }
-  uint32_t U32();
-  uint64_t U64();
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64();
-  std::string Str();
-  std::vector<RuleId> RuleIds();
-
-  bool ok() const { return !failed_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
-
-  /// kInvalidArgument naming `what` unless the payload parsed cleanly and
-  /// completely.
-  Status Finish(const char* what) const;
-
- private:
-  bool Take(size_t n, const char** out);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-// --- Per-message serialization -------------------------------------------
+// --- Payloads ---------------------------------------------------------------
 //
-// Encode* are deterministic (same struct -> same bytes); Decode* accept
-// exactly what Encode* produce and reject everything else with
-// kInvalidArgument. This is what makes "byte-identical across transports"
-// testable: the in-process response, encoded, must equal the wire payload.
+// A payload is its message's fields in declaration order, as wire.cc
+// lists them once per message (RequestOptions::cancel never travels):
+// integers little-endian, doubles as their IEEE-754 bits, bools and enums
+// one byte, strings and vectors a u32 count followed by the bytes or
+// elements, nested structs inline.
+// Encoding is deterministic (same struct -> same bytes); decoding accepts
+// exactly what encoding produces and rejects truncated payloads, trailing
+// bytes, out-of-range enums and counts the remaining bytes cannot hold
+// with kInvalidArgument. This is what makes "byte-identical across
+// transports" testable: the in-process response, encoded, must equal the
+// wire payload.
 
-std::string EncodeGenerateRequest(const service::GenerateRequest& request);
-Result<service::GenerateRequest> DecodeGenerateRequest(
-    std::string_view payload);
-std::string EncodeGenerateResponse(const service::GenerateResponse& response);
-Result<service::GenerateResponse> DecodeGenerateResponse(
-    std::string_view payload);
-
-std::string EncodeOptimizeRequest(const service::OptimizeRequest& request);
-Result<service::OptimizeRequest> DecodeOptimizeRequest(
-    std::string_view payload);
-std::string EncodeOptimizeResponse(const service::OptimizeResponse& response);
-Result<service::OptimizeResponse> DecodeOptimizeResponse(
-    std::string_view payload);
-
-std::string EncodeCompressSuiteRequest(
-    const service::CompressSuiteRequest& request);
-Result<service::CompressSuiteRequest> DecodeCompressSuiteRequest(
-    std::string_view payload);
-std::string EncodeCompressSuiteResponse(
-    const service::CompressSuiteResponse& response);
-Result<service::CompressSuiteResponse> DecodeCompressSuiteResponse(
-    std::string_view payload);
-
-std::string EncodeCorrectnessRequest(
-    const service::CorrectnessRequest& request);
-Result<service::CorrectnessRequest> DecodeCorrectnessRequest(
-    std::string_view payload);
-std::string EncodeCorrectnessResponse(
-    const service::CorrectnessResponse& response);
-Result<service::CorrectnessResponse> DecodeCorrectnessResponse(
-    std::string_view payload);
-
+/// The SQL pair, the service's hot path, also has typed entry points so
+/// callers can encode or decode it without a variant.
 std::string EncodeSqlRequest(const service::SqlRequest& request);
 Result<service::SqlRequest> DecodeSqlRequest(std::string_view payload);
 std::string EncodeSqlResponse(const service::SqlResponse& response);
 Result<service::SqlResponse> DecodeSqlResponse(std::string_view payload);
-
-std::string EncodeLoadRulesRequest(const service::LoadRulesRequest& request);
-Result<service::LoadRulesRequest> DecodeLoadRulesRequest(
-    std::string_view payload);
-std::string EncodeLoadRulesResponse(
-    const service::LoadRulesResponse& response);
-Result<service::LoadRulesResponse> DecodeLoadRulesResponse(
-    std::string_view payload);
-
-std::string EncodeListRulesRequest(const service::ListRulesRequest& request);
-Result<service::ListRulesRequest> DecodeListRulesRequest(
-    std::string_view payload);
-std::string EncodeListRulesResponse(
-    const service::ListRulesResponse& response);
-Result<service::ListRulesResponse> DecodeListRulesResponse(
-    std::string_view payload);
-
-std::string EncodeMetricsRequest(const service::MetricsRequest& request);
-Result<service::MetricsRequest> DecodeMetricsRequest(
-    std::string_view payload);
-std::string EncodeMetricsResponse(const service::MetricsResponse& response);
-Result<service::MetricsResponse> DecodeMetricsResponse(
-    std::string_view payload);
 
 /// kError payload: the Status a request failed with, via the frozen
 /// StatusCodeToWire numbering (common/status.h).

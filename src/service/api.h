@@ -59,29 +59,6 @@ struct GenerateResponse {
   int32_t trials = 0;
 };
 
-/// Optimize one seed-determined random query, optionally with rules
-/// disabled — the remote probe for Plan(q, ¬R) behaviour. The query is
-/// grown by the service's RandomQueryGenerator from `seed` (the transport
-/// cannot ship logical trees until the SQL frontend lands; see ROADMAP
-/// item 2), so the same seed always optimizes the same query.
-struct OptimizeRequest {
-  uint64_t seed = 1;
-  int32_t min_ops = 2;
-  int32_t max_ops = 9;
-  std::vector<RuleId> disabled_rules;
-  RequestOptions options;
-};
-
-struct OptimizeResponse {
-  /// SQL rendering of the query that was optimized (seed-determined).
-  std::string sql;
-  double cost = 0.0;
-  std::vector<RuleId> exercised_rules;  // ascending
-  int32_t group_count = 0;
-  int64_t expr_count = 0;
-  bool budget_exhausted = false;
-};
-
 /// How a CompressSuiteRequest / CorrectnessRequest builds its test suite:
 /// first `n_rules` logical rules as singleton targets (or all pairs over
 /// them), k queries per target.
@@ -124,13 +101,9 @@ struct CompressSuiteResponse {
 };
 
 /// Generate a suite, compress it, and execute the compressed assignment
-/// for correctness — the paper's full pipeline as one request.
-struct CorrectnessRequest {
-  SuiteSpec suite;
-  CompressionAlgorithm algorithm = CompressionAlgorithm::kTopKIndependent;
-  bool exploit_monotonicity = true;
-  RequestOptions options;
-};
+/// for correctness — the paper's full pipeline as one request. Its fields,
+/// and their wire layout, are CompressSuiteRequest's.
+struct CorrectnessRequest : CompressSuiteRequest {};
 
 struct ViolationSummary {
   int32_t target = -1;
@@ -163,15 +136,19 @@ enum class SqlMode : uint8_t {
 
 const char* SqlModeToString(SqlMode mode);
 
-/// Submit a SQL statement (SQL frontend, src/sql/) instead of a seed —
-/// the first request type that ships a caller-chosen query over the wire
-/// (ROADMAP item 2). The statement is parsed and bound against the
-/// resident catalog; canonical renderer output (GenerateSql) round-trips
-/// to the exact original tree.
+/// Submit a SQL statement (SQL frontend, src/sql/): the request that ships
+/// a caller-chosen query over the wire and reports both of the paper's
+/// testing extensions for it, RuleSet(q) (`exercised_rules`) and, with
+/// `disabled_rules`, Plan(q, ¬R) (Section 2.3). The statement is parsed
+/// and bound against the resident catalog; canonical renderer output
+/// (GenerateSql) round-trips to the exact original tree.
 struct SqlRequest {
   std::string sql;
   SqlMode mode = SqlMode::kParseOnly;
   RequestOptions options;
+  /// Rules to disable during the search. kOptimize only; any other mode,
+  /// or an id outside the registry, is kInvalidArgument.
+  std::vector<RuleId> disabled_rules;
 };
 
 /// Deterministic like the other responses: no wall-clock fields, so the
@@ -254,12 +231,13 @@ struct MetricsResponse {
 
 /// The transport-neutral request/response surface: everything a transport
 /// can carry, everything RuleTestService can execute.
+/// Alternative i of one answers alternative i of the other.
 using ServiceRequest =
-    std::variant<GenerateRequest, OptimizeRequest, CompressSuiteRequest,
-                 CorrectnessRequest, SqlRequest, LoadRulesRequest,
-                 ListRulesRequest, MetricsRequest>;
+    std::variant<GenerateRequest, CompressSuiteRequest, CorrectnessRequest,
+                 SqlRequest, LoadRulesRequest, ListRulesRequest,
+                 MetricsRequest>;
 using ServiceResponse =
-    std::variant<GenerateResponse, OptimizeResponse, CompressSuiteResponse,
+    std::variant<GenerateResponse, CompressSuiteResponse,
                  CorrectnessResponse, SqlResponse, LoadRulesResponse,
                  ListRulesResponse, MetricsResponse>;
 

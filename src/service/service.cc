@@ -9,7 +9,6 @@
 #include "compress/compression.h"
 #include "compress/edge_costs.h"
 #include "compress/matching.h"
-#include "qgen/generators.h"
 #include "ruledsl/compiler.h"
 #include "sql/render.h"
 
@@ -41,6 +40,25 @@ const char* SqlModeToString(SqlMode mode) {
   }
   return "?";
 }
+
+namespace {
+
+/// Copies a correctness report's counters and violations onto a
+/// CorrectnessResponse or SqlResponse, which carry the same four fields.
+template <typename Response>
+void ReportCorrectness(const CorrectnessReport& report, Response* response) {
+  response->plans_executed = report.plans_executed;
+  response->skipped_identical_plans = report.skipped_identical_plans;
+  response->skipped_unavailable = report.skipped_unavailable;
+  response->violations.reserve(report.violations.size());
+  for (const CorrectnessViolation& violation : report.violations) {
+    response->violations.push_back(ViolationSummary{
+        violation.target, violation.query, violation.target_name,
+        violation.sql, violation.base_rows, violation.restricted_rows});
+  }
+}
+
+}  // namespace
 
 /// Per-request governance state: the resolved deadline, the effective
 /// search budget, the caller's cancellation token, and the latency
@@ -229,52 +247,10 @@ Result<GenerateResponse> RuleTestService::DoGenerate(
   return response;
 }
 
-Result<OptimizeResponse> RuleTestService::DoOptimize(
-    const OptimizeRequest& request) {
-  if (request.min_ops < 1 || request.max_ops < request.min_ops ||
-      request.max_ops > 64) {
-    return Status::InvalidArgument(
-        "OptimizeRequest needs 1 <= min_ops <= max_ops <= 64, got [" +
-        std::to_string(request.min_ops) + ", " +
-        std::to_string(request.max_ops) + "]");
-  }
-  QTF_RETURN_NOT_OK(ValidateRuleIds(request.disabled_rules,
-                                    "OptimizeRequest::disabled_rules"));
-
-  RequestScope scope(request.options, limits(), request_seconds_);
-  QTF_RETURN_NOT_OK(scope.Check("optimization"));
-  RandomGeneratorConfig random_config;
-  random_config.min_ops = request.min_ops;
-  random_config.max_ops = request.max_ops;
-  TreeBuilderOptions builder_options;
-  builder_options.interner = framework_->interner();
-  RandomQueryGenerator generator(&framework_->catalog(), request.seed,
-                                 random_config, builder_options);
-  Query query = generator.Generate();
-
-  OptimizerOptions options;
-  options.disabled_rules.insert(request.disabled_rules.begin(),
-                                request.disabled_rules.end());
-  options.budget = scope.budget();
-  options.cancel = scope.cancel();
-  QTF_ASSIGN_OR_RETURN(OptimizeResult result,
-                       framework_->optimizer()->Optimize(query, options));
-
-  OptimizeResponse response;
-  response.sql = GenerateSql(query);
-  response.cost = result.cost;
-  response.exercised_rules.assign(result.exercised_rules.begin(),
-                                  result.exercised_rules.end());
-  response.group_count = result.group_count;
-  response.expr_count = result.expr_count;
-  response.budget_exhausted = result.budget_exhausted;
-  return response;
-}
-
 Status RuleTestService::BuildCompressedSuite(
-    const SuiteSpec& spec, CompressionAlgorithm algorithm,
-    bool exploit_monotonicity, RequestScope* scope, TestSuite* suite,
-    CompressionSolution* solution) {
+    const CompressSuiteRequest& request, RequestScope* scope,
+    TestSuite* suite, CompressionSolution* solution) {
+  const SuiteSpec& spec = request.suite;
   QTF_RETURN_NOT_OK(ValidateSuiteSpec(spec));
   QTF_RETURN_NOT_OK(scope->Check("suite generation"));
 
@@ -298,7 +274,7 @@ Status RuleTestService::BuildCompressedSuite(
   provider.set_cancellation(scope->cancel());
   Result<CompressionSolution> compressed =
       Status::Internal("unreachable: unhandled compression algorithm");
-  switch (algorithm) {
+  switch (request.algorithm) {
     case CompressionAlgorithm::kBaseline:
       compressed = CompressBaseline(&provider);
       break;
@@ -306,8 +282,8 @@ Status RuleTestService::BuildCompressedSuite(
       compressed = CompressSetMultiCover(&provider, spec.k);
       break;
     case CompressionAlgorithm::kTopKIndependent:
-      compressed =
-          CompressTopKIndependent(&provider, spec.k, exploit_monotonicity);
+      compressed = CompressTopKIndependent(&provider, spec.k,
+                                           request.exploit_monotonicity);
       break;
     case CompressionAlgorithm::kNoSharingMatching:
       compressed = CompressNoSharingMatching(&provider, spec.k);
@@ -323,9 +299,8 @@ Result<CompressSuiteResponse> RuleTestService::DoCompressSuite(
   RequestScope scope(request.options, limits(), request_seconds_);
   TestSuite suite;
   CompressionSolution solution;
-  QTF_RETURN_NOT_OK(BuildCompressedSuite(request.suite, request.algorithm,
-                                         request.exploit_monotonicity,
-                                         &scope, &suite, &solution));
+  QTF_RETURN_NOT_OK(
+      BuildCompressedSuite(request, &scope, &suite, &solution));
   CompressSuiteResponse response;
   response.suite_queries = static_cast<int32_t>(suite.queries.size());
   response.assignment.reserve(solution.assignment.size());
@@ -344,29 +319,14 @@ Result<CorrectnessResponse> RuleTestService::DoRunCorrectness(
   RequestScope scope(request.options, limits(), request_seconds_);
   TestSuite suite;
   CompressionSolution solution;
-  QTF_RETURN_NOT_OK(BuildCompressedSuite(request.suite, request.algorithm,
-                                         request.exploit_monotonicity,
-                                         &scope, &suite, &solution));
+  QTF_RETURN_NOT_OK(
+      BuildCompressedSuite(request, &scope, &suite, &solution));
   QTF_RETURN_NOT_OK(scope.Check("correctness execution"));
   QTF_ASSIGN_OR_RETURN(
       CorrectnessReport report,
       framework_->runner()->Run(suite, solution.assignment, scope.cancel()));
-
   CorrectnessResponse response;
-  response.plans_executed = report.plans_executed;
-  response.skipped_identical_plans = report.skipped_identical_plans;
-  response.skipped_unavailable = report.skipped_unavailable;
-  response.violations.reserve(report.violations.size());
-  for (const CorrectnessViolation& violation : report.violations) {
-    ViolationSummary summary;
-    summary.target = violation.target;
-    summary.query = violation.query;
-    summary.target_name = violation.target_name;
-    summary.sql = violation.sql;
-    summary.base_rows = violation.base_rows;
-    summary.restricted_rows = violation.restricted_rows;
-    response.violations.push_back(std::move(summary));
-  }
+  ReportCorrectness(report, &response);
   return response;
 }
 
@@ -374,6 +334,14 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
   if (request.sql.empty()) {
     return Status::InvalidArgument("SqlRequest::sql is empty");
   }
+  if (!request.disabled_rules.empty() && request.mode != SqlMode::kOptimize) {
+    return Status::InvalidArgument(
+        std::string("SqlRequest::disabled_rules applies only in optimize "
+                    "mode, got mode ") +
+        SqlModeToString(request.mode));
+  }
+  QTF_RETURN_NOT_OK(
+      ValidateRuleIds(request.disabled_rules, "SqlRequest::disabled_rules"));
 
   RequestScope scope(request.options, limits(), request_seconds_);
   QTF_RETURN_NOT_OK(scope.Check("sql parse"));
@@ -387,6 +355,8 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
 
   QTF_RETURN_NOT_OK(scope.Check("optimization"));
   OptimizerOptions options;
+  options.disabled_rules.insert(request.disabled_rules.begin(),
+                                request.disabled_rules.end());
   options.budget = scope.budget();
   options.cancel = scope.cancel();
   QTF_ASSIGN_OR_RETURN(OptimizeResult result,
@@ -423,20 +393,7 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
   QTF_ASSIGN_OR_RETURN(
       CorrectnessReport report,
       framework_->runner()->Run(suite, suite.per_target, scope.cancel()));
-  response.plans_executed = report.plans_executed;
-  response.skipped_identical_plans = report.skipped_identical_plans;
-  response.skipped_unavailable = report.skipped_unavailable;
-  response.violations.reserve(report.violations.size());
-  for (const CorrectnessViolation& violation : report.violations) {
-    ViolationSummary summary;
-    summary.target = violation.target;
-    summary.query = violation.query;
-    summary.target_name = violation.target_name;
-    summary.sql = violation.sql;
-    summary.base_rows = violation.base_rows;
-    summary.restricted_rows = violation.restricted_rows;
-    response.violations.push_back(std::move(summary));
-  }
+  ReportCorrectness(report, &response);
   return response;
 }
 
@@ -529,9 +486,6 @@ Result<ServiceResponse> RuleTestService::ExecuteAdmitted(
         if constexpr (std::is_same_v<T, GenerateRequest>) {
           QTF_ASSIGN_OR_RETURN(GenerateResponse response, DoGenerate(typed));
           return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, OptimizeRequest>) {
-          QTF_ASSIGN_OR_RETURN(OptimizeResponse response, DoOptimize(typed));
-          return ServiceResponse(std::move(response));
         } else if constexpr (std::is_same_v<T, CompressSuiteRequest>) {
           QTF_ASSIGN_OR_RETURN(CompressSuiteResponse response,
                                DoCompressSuite(typed));
@@ -579,12 +533,6 @@ Result<GenerateResponse> RuleTestService::Generate(
     const GenerateRequest& request) {
   QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
   return std::get<GenerateResponse>(std::move(response));
-}
-
-Result<OptimizeResponse> RuleTestService::Optimize(
-    const OptimizeRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<OptimizeResponse>(std::move(response));
 }
 
 Result<CompressSuiteResponse> RuleTestService::CompressSuite(

@@ -44,13 +44,13 @@ class RuleTestService {
   /// kResourceExhausted when max_queue_depth requests are in flight),
   /// resolves budget/deadline fallbacks from limits(), and executes.
   Result<GenerateResponse> Generate(const GenerateRequest& request);
-  Result<OptimizeResponse> Optimize(const OptimizeRequest& request);
   Result<CompressSuiteResponse> CompressSuite(
       const CompressSuiteRequest& request);
   Result<CorrectnessResponse> RunCorrectness(
       const CorrectnessRequest& request);
   /// SQL text in, bound-tree facts (and optionally optimization /
   /// correctness results) out — the SQL frontend behind the service API.
+  /// In kOptimize, `disabled_rules` makes it the remote Plan(q, ¬R) probe.
   Result<SqlResponse> Sql(const SqlRequest& request);
   /// Compile .qtr rule specs (src/ruledsl/) and register them into the
   /// resident registry — the discovered-rule ingestion path (ROADMAP
@@ -96,13 +96,11 @@ class RuleTestService {
   /// Generates the suite and compresses it — the shared front half of
   /// CompressSuite and RunCorrectness. On success `suite` and `solution`
   /// are filled.
-  Status BuildCompressedSuite(const SuiteSpec& spec,
-                              CompressionAlgorithm algorithm,
-                              bool exploit_monotonicity, RequestScope* scope,
-                              TestSuite* suite, CompressionSolution* solution);
+  Status BuildCompressedSuite(const CompressSuiteRequest& request,
+                              RequestScope* scope, TestSuite* suite,
+                              CompressionSolution* solution);
 
   Result<GenerateResponse> DoGenerate(const GenerateRequest& request);
-  Result<OptimizeResponse> DoOptimize(const OptimizeRequest& request);
   Result<CompressSuiteResponse> DoCompressSuite(
       const CompressSuiteRequest& request);
   Result<CorrectnessResponse> DoRunCorrectness(

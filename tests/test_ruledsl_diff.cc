@@ -16,11 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "qgen/generators.h"
 #include "ruledsl/compiler.h"
 #include "rules/default_rules.h"
 #include "rules/exploration_rules.h"
 #include "rules/implementation_rules.h"
 #include "service/service.h"
+#include "sql/render.h"
 
 namespace qtf {
 namespace {
@@ -142,19 +144,32 @@ class RuleDslEndToEndDiffTest : public ::testing::Test {
     check(*baseline, *parallel, "builtin vs twin(parallel)");
   }
 
+  /// The query RandomQueryGenerator grows from `seed`.
+  Query SeededQuery(uint64_t seed) {
+    return RandomQueryGenerator(&builtin_->framework()->catalog(), seed)
+        .Generate();
+  }
+
+  /// An optimize request for SeededQuery(seed), sent as its SQL text.
+  service::SqlRequest SeededOptimize(uint64_t seed) {
+    service::SqlRequest request;
+    request.sql = GenerateSql(SeededQuery(seed));
+    request.mode = service::SqlMode::kOptimize;
+    return request;
+  }
+
   std::unique_ptr<service::RuleTestService> builtin_, twin_, twin_parallel_;
 };
 
 TEST_F(RuleDslEndToEndDiffTest, OptimizeAgreesOverSeededQueries) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    service::OptimizeRequest request;
-    request.seed = seed;
-    ExpectAllAgree(request, [&](const service::ServiceResponse& a,
-                                const service::ServiceResponse& b,
-                                const char* what) {
-      const auto& ra = std::get<service::OptimizeResponse>(a);
-      const auto& rb = std::get<service::OptimizeResponse>(b);
-      EXPECT_EQ(ra.sql, rb.sql) << what << ", seed " << seed;
+    ExpectAllAgree(SeededOptimize(seed), [&](const service::ServiceResponse& a,
+                                             const service::ServiceResponse& b,
+                                             const char* what) {
+      const auto& ra = std::get<service::SqlResponse>(a);
+      const auto& rb = std::get<service::SqlResponse>(b);
+      EXPECT_EQ(ra.canonical_sql, rb.canonical_sql)
+          << what << ", seed " << seed;
       EXPECT_EQ(ra.cost, rb.cost) << what << ", seed " << seed;
       EXPECT_EQ(ra.exercised_rules, rb.exercised_rules)
           << what << ", seed " << seed;
@@ -167,22 +182,41 @@ TEST_F(RuleDslEndToEndDiffTest, OptimizeAgreesOverSeededQueries) {
 TEST_F(RuleDslEndToEndDiffTest, OptimizeAgreesWithPortedRulesDisabled) {
   // Disabling a ported rule by id must suppress the twin exactly as it
   // suppresses the builtin (JoinCommutativity=0, SelectMerge=6,
-  // LojToJoin=14).
-  for (RuleId disabled : {0, 6, 14}) {
-    service::OptimizeRequest request;
-    request.seed = 9;
-    request.disabled_rules = {disabled};
-    ExpectAllAgree(request, [&](const service::ServiceResponse& a,
-                                const service::ServiceResponse& b,
-                                const char* what) {
-      const auto& ra = std::get<service::OptimizeResponse>(a);
-      const auto& rb = std::get<service::OptimizeResponse>(b);
-      EXPECT_EQ(ra.cost, rb.cost) << what << ", disabled " << disabled;
-      EXPECT_EQ(ra.exercised_rules, rb.exercised_rules)
-          << what << ", disabled " << disabled;
-      EXPECT_EQ(ra.group_count, rb.group_count)
-          << what << ", disabled " << disabled;
-    });
+  // LojToJoin=14), and the served Plan(q, ¬R) must be the one a
+  // standalone optimizer finds for the same query.
+  std::unique_ptr<RuleRegistry> rules = MakeDefaultRuleRegistry();
+  Optimizer standalone(rules.get());
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const Query query = SeededQuery(seed);
+    for (RuleId disabled : {0, 6, 14}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", disabled " +
+                   std::to_string(disabled));
+      service::SqlRequest request = SeededOptimize(seed);
+      request.disabled_rules = {disabled};
+      ExpectAllAgree(request, [&](const service::ServiceResponse& a,
+                                  const service::ServiceResponse& b,
+                                  const char* what) {
+        const auto& ra = std::get<service::SqlResponse>(a);
+        const auto& rb = std::get<service::SqlResponse>(b);
+        EXPECT_EQ(ra.cost, rb.cost) << what;
+        EXPECT_EQ(ra.exercised_rules, rb.exercised_rules) << what;
+        EXPECT_EQ(ra.group_count, rb.group_count) << what;
+        EXPECT_EQ(ra.expr_count, rb.expr_count) << what;
+      });
+
+      OptimizerOptions options;
+      options.disabled_rules = {disabled};
+      auto direct = standalone.Optimize(query, options);
+      auto served = builtin_->Sql(request);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_EQ(served->cost, direct->cost);
+      EXPECT_EQ(served->exercised_rules,
+                std::vector<RuleId>(direct->exercised_rules.begin(),
+                                    direct->exercised_rules.end()));
+      EXPECT_EQ(served->group_count, direct->group_count);
+      EXPECT_EQ(served->expr_count, direct->expr_count);
+    }
   }
 }
 

@@ -23,7 +23,9 @@
 #include "client/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "qgen/generators.h"
 #include "service/service.h"
+#include "sql/render.h"
 
 namespace qtf {
 namespace {
@@ -34,6 +36,19 @@ std::unique_ptr<service::RuleTestService> MakeService(
   config.framework.max_queue_depth = max_queue_depth;
   config.framework.threads = threads;
   return service::RuleTestService::Create(std::move(config)).value();
+}
+
+/// An optimize request for the query RandomQueryGenerator grows from
+/// `seed`, sent as its SQL text.
+service::SqlRequest SeededOptimize(service::RuleTestService& service,
+                                   uint64_t seed,
+                                   RandomGeneratorConfig config = {}) {
+  service::SqlRequest request;
+  request.sql = GenerateSql(
+      RandomQueryGenerator(&service.framework()->catalog(), seed, config)
+          .Generate());
+  request.mode = service::SqlMode::kOptimize;
+  return request;
 }
 
 TEST(ServiceOptionsTest, CreateRejectsInvalidOptionsNamingTheField) {
@@ -86,11 +101,9 @@ TEST(ServiceTest, GenerateAndOptimizeWork) {
   EXPECT_FALSE(generated->sql.empty());
   EXPECT_GT(generated->operator_count, 0);
 
-  service::OptimizeRequest optimize;
-  optimize.seed = 5;
-  auto optimized = service->Optimize(optimize);
+  auto optimized = service->Sql(SeededOptimize(*service, 5));
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  EXPECT_FALSE(optimized->sql.empty());
+  EXPECT_FALSE(optimized->canonical_sql.empty());
   EXPECT_GT(optimized->group_count, 0);
   EXPECT_GT(service->metrics()->counter("qtf.service.requests")->Value(), 0);
 }
@@ -104,27 +117,41 @@ TEST(ServiceTest, RequestValidationNamesTheField) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("targets"), std::string::npos);
 
-  service::OptimizeRequest bad_ops;
-  bad_ops.min_ops = 5;
-  bad_ops.max_ops = 2;
-  auto ops_result = service->Optimize(bad_ops);
-  ASSERT_FALSE(ops_result.ok());
-  EXPECT_EQ(ops_result.status().code(), StatusCode::kInvalidArgument);
+  // disabled_rules: ids must be in the registry, and only kOptimize
+  // searches with rules disabled.
+  service::SqlRequest out_of_range = SeededOptimize(*service, 5);
+  out_of_range.disabled_rules = {service->framework()->rules().size()};
+  auto range_result = service->Sql(out_of_range);
+  ASSERT_FALSE(range_result.ok());
+  EXPECT_EQ(range_result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(range_result.status().message().find("disabled_rules"),
+            std::string::npos);
+  for (service::SqlMode mode :
+       {service::SqlMode::kParseOnly, service::SqlMode::kCorrectness}) {
+    service::SqlRequest wrong_mode = SeededOptimize(*service, 5);
+    wrong_mode.mode = mode;
+    wrong_mode.disabled_rules = {0};
+    auto mode_result = service->Sql(wrong_mode);
+    ASSERT_FALSE(mode_result.ok()) << service::SqlModeToString(mode);
+    EXPECT_EQ(mode_result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mode_result.status().message().find("disabled_rules"),
+              std::string::npos);
+  }
 }
 
 TEST(ServiceTest, BudgetExhaustionDegradesGracefully) {
   auto service = MakeService();
-  service::OptimizeRequest request;
-  request.seed = 9;
-  request.min_ops = 6;
-  request.max_ops = 9;
+  RandomGeneratorConfig six_to_nine;
+  six_to_nine.min_ops = 6;
+  six_to_nine.max_ops = 9;
+  service::SqlRequest request = SeededOptimize(*service, 9, six_to_nine);
   // A one-group memo budget cannot fit any real search: the optimizer
   // must truncate exploration and still return its best plan.
   request.options.budget.max_memo_groups = 1;
-  auto response = service->Optimize(request);
+  auto response = service->Sql(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response->budget_exhausted);
-  EXPECT_FALSE(response->sql.empty());
+  EXPECT_GT(response->group_count, 0);
 }
 
 TEST(ServiceTest, PreCancelledRequestReturnsCancelled) {
@@ -184,6 +211,45 @@ TEST(ServiceTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   }
 }
 
+// A GROUP BY over the UNION ALL of part LEFT JOIN supplier and a padded
+// part branch. Its optimized plan pushes a select below the union onto
+// columns of the wrong types, which the executor refuses to run.
+constexpr char kMistypedUnionSql[] =
+    "SELECT c21, COUNT(*) AS c27 FROM (SELECT * FROM (SELECT * FROM "
+    "(SELECT c0 AS c18, c1 AS c19, c2 AS c20, c3 AS c21, c4 AS c22, c5 "
+    "AS c23, c6 AS c24, c7 AS c25, c8 AS c26 FROM (SELECT * FROM "
+    "(SELECT * FROM (SELECT p_partkey AS c0, p_name AS c1, p_brand AS "
+    "c2, p_size AS c3, p_retailprice AS c4 FROM part) d8 LEFT OUTER "
+    "JOIN (SELECT s_suppkey AS c5, s_name AS c6, s_nationkey AS c7, "
+    "s_acctbal AS c8 FROM supplier) d9 ON (c0 = c5)) d7 WHERE (c7 <> "
+    "1)) d6 UNION ALL SELECT c9 AS c18, c10 AS c19, c11 AS c20, c12 AS "
+    "c21, c13 AS c22, c14 AS c23, c15 AS c24, c16 AS c25, c17 AS c26 "
+    "FROM (SELECT c9 AS c9, c10 AS c10, c11 AS c11, c12 AS c12, c13 AS "
+    "c13, 8 AS c14, 'filler' AS c15, 3 AS c16, 0.0 AS c17 FROM (SELECT "
+    "* FROM (SELECT p_partkey AS c9, p_name AS c10, p_brand AS c11, "
+    "p_size AS c12, p_retailprice AS c13 FROM part) d5 WHERE (c9 = "
+    "c12)) d4) d3) d2 WHERE ((c22 < 9597.5770696649688) AND (c24 <= "
+    "c20))) d1 WHERE (c22 <> 6710.9213955762052)) d0 GROUP BY c21";
+
+TEST(ServiceTest, UnexecutablePlanFailsTheRequestNotTheService) {
+  auto service = MakeService();
+  service::SqlRequest request;
+  request.sql = kMistypedUnionSql;
+  request.mode = service::SqlMode::kCorrectness;
+  auto failed = service->Sql(request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_NE(failed.status().message().find(
+                "UNION ALL branches must agree on column types"),
+            std::string::npos)
+      << failed.status().ToString();
+
+  // The same service answers the next request.
+  auto next = service->Sql(SeededOptimize(*service, 5));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_GT(next->group_count, 0);
+}
+
 TEST(ServiceTest, ShedsWithResourceExhaustedWhenQueueIsFull) {
   auto service = MakeService(/*max_queue_depth=*/2);
   // Occupy every admission slot, as if two long requests were in flight.
@@ -192,8 +258,8 @@ TEST(ServiceTest, ShedsWithResourceExhaustedWhenQueueIsFull) {
   ASSERT_TRUE(slot1);
   ASSERT_TRUE(slot2);
 
-  service::OptimizeRequest request;
-  auto shed = service->Optimize(request);
+  const service::SqlRequest request = SeededOptimize(*service, 1);
+  auto shed = service->Sql(request);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(service->metrics()->counter("qtf.service.sheds")->Value(), 0);
@@ -206,7 +272,7 @@ TEST(ServiceTest, ShedsWithResourceExhaustedWhenQueueIsFull) {
   // Slots released -> requests flow again.
   slot1.Release();
   slot2.Release();
-  auto ok_again = service->Optimize(request);
+  auto ok_again = service->Sql(request);
   EXPECT_TRUE(ok_again.ok()) << ok_again.status().ToString();
 }
 
@@ -317,10 +383,16 @@ TEST(ServiceLoadRulesTest, RejectsCollisionsMalformedAndEmptySpecs) {
 }
 
 TEST(ServiceLoadRulesTest, LoadRulesIsSafeUnderConcurrentTraffic) {
-  // LoadRules takes the registry lock exclusively while Sql/Optimize
-  // requests hold it shared; interleaving them must neither crash nor
-  // corrupt responses.
+  // LoadRules takes the registry lock exclusively while Sql requests hold
+  // it shared; interleaving them must neither crash nor corrupt responses.
   auto service = MakeService();
+  std::vector<service::SqlRequest> requests;
+  for (int t = 0; t < 3; ++t) {
+    for (int i = 0; i < 6; ++i) {
+      requests.push_back(
+          SeededOptimize(*service, static_cast<uint64_t>(t * 100 + i + 1)));
+    }
+  }
   std::atomic<int> failures{0};
   std::thread loader([&] {
     for (int i = 0; i < 8; ++i) {
@@ -336,9 +408,7 @@ TEST(ServiceLoadRulesTest, LoadRulesIsSafeUnderConcurrentTraffic) {
   for (int t = 0; t < 3; ++t) {
     traffic.emplace_back([&, t] {
       for (int i = 0; i < 6; ++i) {
-        service::OptimizeRequest request;
-        request.seed = static_cast<uint64_t>(t * 100 + i + 1);
-        if (!service->Optimize(request).ok()) failures.fetch_add(1);
+        if (!service->Sql(requests[t * 6 + i]).ok()) failures.fetch_add(1);
       }
     });
   }
@@ -363,6 +433,11 @@ TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
   auto local = MakeService();
 
   constexpr int kConnections = 8;
+  std::vector<service::SqlRequest> requests;
+  for (int i = 0; i < kConnections; ++i) {
+    requests.push_back(
+        SeededOptimize(*service, 100 + static_cast<uint64_t>(i)));
+  }
   std::vector<std::string> remote_payload(kConnections);
   std::vector<std::string> local_payload(kConnections);
   std::vector<std::thread> clients;
@@ -375,13 +450,9 @@ TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
         ++failures;
         return;
       }
-      service::OptimizeRequest request;
-      request.seed = 100 + static_cast<uint64_t>(i);
       auto frame = client_or.value()->CallRaw(
-          net::MessageType::kOptimizeRequest,
-          net::EncodeOptimizeRequest(request));
-      if (!frame.ok() ||
-          frame->type != net::MessageType::kOptimizeResponse) {
+          net::MessageType::kSqlRequest, net::EncodeSqlRequest(requests[i]));
+      if (!frame.ok() || frame->type != net::MessageType::kSqlResponse) {
         ++failures;
         return;
       }
@@ -392,14 +463,11 @@ TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
   ASSERT_EQ(failures.load(), 0);
 
   for (int i = 0; i < kConnections; ++i) {
-    service::OptimizeRequest request;
-    request.seed = 100 + static_cast<uint64_t>(i);
-    auto response = local->Optimize(request);
+    auto response = local->Sql(requests[i]);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    local_payload[i] = net::EncodeOptimizeResponse(*response);
+    local_payload[i] = net::EncodeSqlResponse(*response);
     EXPECT_EQ(remote_payload[i], local_payload[i])
-        << "response for seed " << request.seed
-        << " differs between transports";
+        << "response for seed " << 100 + i << " differs between transports";
   }
 
   EXPECT_GE(service->metrics()
@@ -455,11 +523,9 @@ TEST(ServiceServerTest, SurvivesGarbageFramesAndKeepsServing) {
   // ...and still serves well-formed clients.
   auto client =
       client::ServiceClient::Connect("127.0.0.1", server->port()).value();
-  service::OptimizeRequest request;
-  request.seed = 21;
-  auto response = client->Optimize(request);
+  auto response = client->Sql(SeededOptimize(*service, 21));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_FALSE(response->sql.empty());
+  EXPECT_GT(response->group_count, 0);
   server->Shutdown();
 }
 
@@ -481,9 +547,7 @@ TEST(ServiceServerTest, MalformedPayloadGetsErrorFrameAndConnectionSurvives) {
   EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
 
   // Same connection keeps working afterwards.
-  service::OptimizeRequest request;
-  request.seed = 2;
-  auto response = client->Optimize(request);
+  auto response = client->Sql(SeededOptimize(*service, 2));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   server->Shutdown();
 }
@@ -499,8 +563,8 @@ TEST(ServiceServerTest, ServerShedsOverWireWhenGateIsFull) {
   // Hold the only admission slot so the next wire request must shed.
   auto slot = service->admission()->TryEnter();
   ASSERT_TRUE(slot);
-  service::OptimizeRequest request;
-  auto shed = client->Optimize(request);
+  const service::SqlRequest request = SeededOptimize(*service, 1);
+  auto shed = client->Sql(request);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
 
@@ -509,7 +573,7 @@ TEST(ServiceServerTest, ServerShedsOverWireWhenGateIsFull) {
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
 
   slot.Release();
-  auto ok_again = client->Optimize(request);
+  auto ok_again = client->Sql(request);
   ASSERT_TRUE(ok_again.ok()) << ok_again.status().ToString();
   server->Shutdown();
 }

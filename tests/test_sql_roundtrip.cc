@@ -158,7 +158,7 @@ TEST(SqlRoundTripTest, ParseOnlyModeLeavesOptimizeFieldsZero) {
   EXPECT_TRUE(response->exercised_rules.empty());
   EXPECT_EQ(response->plans_executed, 0);
 
-  auto bad = service->Sql(service::SqlRequest{"SELECT FROM", {}, {}});
+  auto bad = service->Sql(service::SqlRequest{"SELECT FROM", {}, {}, {}});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }

@@ -1,14 +1,19 @@
 // The qtfd wire protocol (src/net/wire.h): frame round-trips through an
-// incrementally-fed decoder, per-message encode/decode round-trips,
-// rejection of every class of malformed input, and a seeded fuzz loop —
-// truncations, bit flips and pure garbage must come back as clean
+// incrementally-fed decoder, golden payloads that pin every message's
+// bytes, rejection of every class of malformed input, and a seeded fuzz
+// loop — truncations, bit flips and pure garbage must come back as clean
 // kInvalidArgument results, never a crash, hang or giant allocation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/wire.h"
@@ -17,38 +22,198 @@ namespace qtf {
 namespace net {
 namespace {
 
-service::GenerateRequest SampleGenerateRequest() {
-  service::GenerateRequest request;
-  request.targets = {3, 7};
-  request.method = GenerationMethod::kRandom;
-  request.max_trials = 123;
-  request.extra_ops = 2;
-  request.seed = 0xdeadbeefcafef00dULL;
-  request.require_relevant = false;
-  request.options.budget.wall_seconds = 1.5;
-  request.options.budget.max_memo_groups = 400;
-  request.options.budget.max_memo_exprs = 9000;
-  request.options.deadline_seconds = 2.25;
-  return request;
+/// One line of tests/wire_golden.txt, after its message type's name.
+struct Golden {
+  std::string payload;
+  /// The payload's first hex word on its own (see the file's header).
+  std::string first_word;
+};
+
+std::string Unhex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
 }
 
-service::CompressSuiteResponse SampleCompressResponse() {
-  service::CompressSuiteResponse response;
-  response.suite_queries = 6;
-  response.assignment = {{0, 2}, {}, {1, 3, 5}};
-  response.total_cost = 123.5;
-  response.optimizer_calls = 77;
-  response.degraded_targets = 1;
-  response.estimated_edges = 12;
-  return response;
+/// The golden payloads keyed by message type name.
+std::map<std::string, Golden> LoadGoldens() {
+  std::ifstream in(std::string(QTF_SOURCE_DIR) + "/tests/wire_golden.txt");
+  EXPECT_TRUE(in.good()) << "cannot read tests/wire_golden.txt";
+  std::map<std::string, Golden> goldens;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream words(line);
+    std::string name;
+    words >> name;
+    Golden& golden = goldens[name];
+    std::string word;
+    while (words >> word) {
+      if (golden.payload.empty()) golden.first_word = Unhex(word);
+      golden.payload += Unhex(word);
+    }
+  }
+  return goldens;
 }
 
-service::SqlRequest SampleSqlRequest() {
-  service::SqlRequest request;
-  request.sql = "SELECT l_orderkey FROM lineitem WHERE l_quantity < 25";
-  request.mode = service::SqlMode::kOptimize;
-  request.options.deadline_seconds = 3.5;
-  return request;
+service::RequestOptions Options(double wall_seconds, int max_memo_groups,
+                                int64_t max_memo_exprs,
+                                double deadline_seconds) {
+  service::RequestOptions options;
+  options.budget.wall_seconds = wall_seconds;
+  options.budget.max_memo_groups = max_memo_groups;
+  options.budget.max_memo_exprs = max_memo_exprs;
+  options.deadline_seconds = deadline_seconds;
+  return options;
+}
+
+/// The messages tests/wire_golden.txt holds, encoded, keyed by type name.
+/// No two fields of one type in a message hold the same value, so
+/// encoding these against the goldens catches two fields trading places,
+/// which a decode/re-encode round trip cannot.
+std::vector<std::pair<std::string, std::string>> EncodedSamples() {
+  service::GenerateRequest generate;
+  generate.targets = {3, -2, 17};
+  generate.method = GenerationMethod::kPattern;
+  generate.max_trials = 123;
+  generate.extra_ops = -4;
+  generate.seed = 0xfedcba9876543210ULL;
+  generate.require_relevant = true;
+  generate.options = Options(1.5, -400, 90000, 2.25);
+
+  service::GenerateResponse generated;
+  generated.success = true;
+  generated.sql = "SELECT l_orderkey AS c0 FROM lineitem";
+  generated.rule_set = {1, 4, 9};
+  generated.cost = -12.75;
+  generated.operator_count = -6;
+  generated.trials = 42;
+
+  service::CompressSuiteRequest compress;
+  compress.suite = {-1, true, 5, GenerationMethod::kPattern, 77, -2,
+                    0x0123456789abcdefULL};
+  compress.algorithm = service::CompressionAlgorithm::kNoSharingMatching;
+  compress.exploit_monotonicity = false;
+  compress.options = Options(0.5, 12, -1, 9.75);
+
+  service::CompressSuiteResponse compressed;
+  compressed.suite_queries = 6;
+  compressed.assignment = {{0, 2}, {-1}, {1, 3, 5}};
+  compressed.total_cost = 123.5;
+  compressed.optimizer_calls = -77;
+  compressed.degraded_targets = 1;
+  compressed.estimated_edges = -12;
+
+  service::CorrectnessRequest correctness;
+  correctness.suite = {6, true, -3, GenerationMethod::kPattern, 9, 4, 99};
+  correctness.algorithm = service::CompressionAlgorithm::kNoSharingMatching;
+  correctness.exploit_monotonicity = false;
+  correctness.options = Options(3.0, -8, 6000, 0.125);
+
+  service::CorrectnessResponse checked;
+  checked.plans_executed = 9;
+  checked.skipped_identical_plans = -3;
+  checked.skipped_unavailable = 1;
+  checked.violations = {{2, 4, "R3+R7", "SELECT * FROM nation", 100, -90},
+                        {-1, 0, "R0", "SELECT r_name FROM region", -5, 7}};
+
+  service::SqlRequest sql;
+  sql.sql = "SELECT l_orderkey FROM lineitem WHERE l_quantity < 25";
+  sql.mode = service::SqlMode::kCorrectness;
+  sql.options = Options(4.5, 33, -7, 3.5);
+  sql.disabled_rules = {6, 14};
+
+  service::SqlResponse answered;
+  answered.fingerprint = 0xabcdef0123456789ULL;
+  answered.canonical_sql = "SELECT l_orderkey AS c1 FROM lineitem";
+  answered.operator_count = -3;
+  answered.cost = 17.25;
+  answered.exercised_rules = {1, 4};
+  answered.group_count = 8;
+  answered.expr_count = -21;
+  answered.budget_exhausted = true;
+  answered.plans_executed = 2;
+  answered.skipped_identical_plans = 1;
+  answered.skipped_unavailable = -1;
+  answered.violations = {{0, -2, "R4", "SELECT *", 10, 12}};
+
+  service::LoadRulesRequest load;
+  load.text = "rule R { match s: select(select($X)) rewrite $X }";
+  load.dry_run = true;
+  load.options = Options(2.0, -1, 500, 2.5);
+
+  service::LoadRulesResponse loaded;
+  loaded.ids = {39, -40};
+  loaded.names = {"RuleA", "RuleB"};
+  loaded.compiled = -2;
+
+  service::ListRulesResponse listed;
+  listed.rules = {{37, "UnionAllToConcat", 1, "UnionAll(Any, Any)", 1},
+                  {-1, "DslProbe", 1, "Select(Select(Any))", 1}};
+
+  return {
+      {"generate_request", EncodeRequest(generate)},
+      {"generate_response", EncodeResponse(generated)},
+      {"compress_suite_request", EncodeRequest(compress)},
+      {"compress_suite_response", EncodeResponse(compressed)},
+      {"correctness_request", EncodeRequest(correctness)},
+      {"correctness_response", EncodeResponse(checked)},
+      {"metrics_request", EncodeRequest(service::MetricsRequest{true})},
+      {"metrics_response",
+       EncodeResponse(service::MetricsResponse{
+           "{\"counters\":{\"qtf.service.requests\":3}}"})},
+      {"sql_request", EncodeSqlRequest(sql)},
+      {"sql_response", EncodeSqlResponse(answered)},
+      {"load_rules_request", EncodeRequest(load)},
+      {"load_rules_response", EncodeResponse(loaded)},
+      {"list_rules_request", EncodeRequest(service::ListRulesRequest{})},
+      {"list_rules_response", EncodeResponse(listed)},
+      {"error",
+       EncodeError(Status::Unavailable("connection closed by server"))},
+  };
+}
+
+/// Every type a frame may carry: kError plus each request and response.
+std::vector<MessageType> KnownTypes() {
+  std::vector<MessageType> types;
+  for (int t = 0; t < 256; ++t) {
+    const MessageType type = static_cast<MessageType>(t);
+    if (std::strcmp(MessageTypeToString(type), "unknown") != 0) {
+      types.push_back(type);
+    }
+  }
+  return types;
+}
+
+MessageType TypeNamed(const std::string& name) {
+  for (MessageType type : KnownTypes()) {
+    if (name == MessageTypeToString(type)) return type;
+  }
+  ADD_FAILURE() << "no message type named " << name;
+  return MessageType::kError;
+}
+
+/// Decodes a payload of any type and re-encodes it: the codec round trip
+/// every golden and fuzz case goes through.
+Result<std::string> Reencode(MessageType type, std::string_view payload) {
+  if (type == MessageType::kError) {
+    Status error;
+    QTF_RETURN_NOT_OK(DecodeError(payload, &error));
+    return EncodeError(error);
+  }
+  if (IsRequestType(type)) {
+    QTF_ASSIGN_OR_RETURN(service::ServiceRequest request,
+                         DecodeRequest(type, payload));
+    EXPECT_EQ(RequestType(request), type);
+    return EncodeRequest(request);
+  }
+  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
+                       DecodeResponse(type, payload));
+  EXPECT_EQ(ResponseType(response), type);
+  return EncodeResponse(response);
 }
 
 TEST(WireTest, FrameRoundTrip) {
@@ -70,7 +235,7 @@ TEST(WireTest, FrameRoundTrip) {
 
 TEST(WireTest, DecoderHandlesBytewiseFeedAndBackToBackFrames) {
   const std::string a = EncodeFrame(MessageType::kGenerateRequest, 1, "aa");
-  const std::string b = EncodeFrame(MessageType::kOptimizeRequest, 2, "");
+  const std::string b = EncodeFrame(MessageType::kSqlRequest, 2, "");
   const std::string stream = a + b;
 
   FrameDecoder decoder;
@@ -84,7 +249,7 @@ TEST(WireTest, DecoderHandlesBytewiseFeedAndBackToBackFrames) {
         EXPECT_EQ(frame.type, MessageType::kGenerateRequest);
         EXPECT_EQ(frame.payload, "aa");
       } else {
-        EXPECT_EQ(frame.type, MessageType::kOptimizeRequest);
+        EXPECT_EQ(frame.type, MessageType::kSqlRequest);
         EXPECT_EQ(frame.request_id, 2u);
       }
     }
@@ -103,9 +268,10 @@ TEST(WireTest, DecoderRejectsMalformedHeaders) {
     EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // Wrong version.
+    // Wrong version: version 1 frames are refused.
     std::string bytes = EncodeFrame(MessageType::kMetricsRequest, 1, "");
-    bytes[4] = 99;
+    EXPECT_EQ(bytes[4], 2);
+    bytes[4] = 1;
     FrameDecoder decoder;
     decoder.Feed(bytes);
     EXPECT_FALSE(decoder.Next(&frame).ok());
@@ -136,80 +302,85 @@ TEST(WireTest, DecoderRejectsMalformedHeaders) {
   }
 }
 
-TEST(WireTest, GenerateRequestRoundTrip) {
-  const service::GenerateRequest request = SampleGenerateRequest();
-  const std::string payload = EncodeGenerateRequest(request);
-  auto decoded = DecodeGenerateRequest(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->targets, request.targets);
-  EXPECT_EQ(decoded->method, request.method);
-  EXPECT_EQ(decoded->max_trials, request.max_trials);
-  EXPECT_EQ(decoded->extra_ops, request.extra_ops);
-  EXPECT_EQ(decoded->seed, request.seed);
-  EXPECT_EQ(decoded->require_relevant, request.require_relevant);
-  EXPECT_EQ(decoded->options.budget.wall_seconds,
-            request.options.budget.wall_seconds);
-  EXPECT_EQ(decoded->options.budget.max_memo_groups,
-            request.options.budget.max_memo_groups);
-  EXPECT_EQ(decoded->options.budget.max_memo_exprs,
-            request.options.budget.max_memo_exprs);
-  EXPECT_EQ(decoded->options.deadline_seconds,
-            request.options.deadline_seconds);
-  // Deterministic: re-encoding the decoded struct reproduces the bytes.
-  EXPECT_EQ(EncodeGenerateRequest(*decoded), payload);
+TEST(WireTest, RetiredOptimizeTypesAreUnknown) {
+  for (uint8_t retired : {3, 4}) {
+    const MessageType type = static_cast<MessageType>(retired);
+    EXPECT_STREQ(MessageTypeToString(type), "unknown");
+    EXPECT_FALSE(IsRequestType(type));
+    std::string bytes = EncodeFrame(MessageType::kMetricsRequest, 1, "");
+    bytes[5] = static_cast<char>(retired);
+    FrameDecoder decoder;
+    decoder.Feed(bytes);
+    Frame frame;
+    Result<bool> got = decoder.Next(&frame);
+    ASSERT_FALSE(got.ok()) << "type " << int{retired};
+    EXPECT_NE(got.status().message().find("unknown message type"),
+              std::string::npos)
+        << got.status().ToString();
+  }
 }
 
-TEST(WireTest, CompressSuiteResponseRoundTrip) {
-  const service::CompressSuiteResponse response = SampleCompressResponse();
-  const std::string payload = EncodeCompressSuiteResponse(response);
-  auto decoded = DecodeCompressSuiteResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->suite_queries, response.suite_queries);
-  EXPECT_EQ(decoded->assignment, response.assignment);
-  EXPECT_EQ(decoded->total_cost, response.total_cost);
-  EXPECT_EQ(decoded->optimizer_calls, response.optimizer_calls);
-  EXPECT_EQ(decoded->degraded_targets, response.degraded_targets);
-  EXPECT_EQ(decoded->estimated_edges, response.estimated_edges);
-  EXPECT_EQ(EncodeCompressSuiteResponse(*decoded), payload);
+TEST(WireTest, TypeTableNumbersEveryPairAdjacently) {
+  const std::vector<MessageType> known = KnownTypes();
+  // kError plus seven request/response pairs; 3 and 4 stay retired.
+  ASSERT_EQ(known.size(), 15u);
+  EXPECT_EQ(known.front(), MessageType::kError);
+  for (MessageType type : known) {
+    if (!IsRequestType(type)) continue;
+    EXPECT_EQ(static_cast<int>(ResponseTypeFor(type)),
+              static_cast<int>(type) + 1)
+        << MessageTypeToString(type);
+    EXPECT_FALSE(IsRequestType(ResponseTypeFor(type)));
+  }
 }
 
-TEST(WireTest, CorrectnessResponseRoundTrip) {
-  service::CorrectnessResponse response;
-  response.plans_executed = 9;
-  response.skipped_identical_plans = 3;
-  response.skipped_unavailable = 1;
-  service::ViolationSummary v;
-  v.target = 2;
-  v.query = 4;
-  v.target_name = "R3+R7";
-  v.sql = "SELECT *";
-  v.base_rows = 100;
-  v.restricted_rows = 90;
-  response.violations.push_back(v);
-
-  const std::string payload = EncodeCorrectnessResponse(response);
-  auto decoded = DecodeCorrectnessResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->violations.size(), 1u);
-  EXPECT_EQ(decoded->violations[0].target_name, "R3+R7");
-  EXPECT_EQ(decoded->violations[0].base_rows, 100);
-  EXPECT_EQ(EncodeCorrectnessResponse(*decoded), payload);
+TEST(WireGoldenTest, SamplesEncodeToTheGoldenBytesAndBack) {
+  const std::map<std::string, Golden> goldens = LoadGoldens();
+  const auto samples = EncodedSamples();
+  // One sample, and one golden, per type a frame can carry.
+  ASSERT_EQ(samples.size(), KnownTypes().size());
+  ASSERT_EQ(goldens.size(), samples.size());
+  for (const auto& [name, payload] : samples) {
+    SCOPED_TRACE(name);
+    const std::string& golden = goldens.at(name).payload;
+    EXPECT_EQ(payload, golden);
+    Result<std::string> reencoded = Reencode(TypeNamed(name), golden);
+    ASSERT_TRUE(reencoded.ok()) << reencoded.status().ToString();
+    EXPECT_EQ(*reencoded, golden);
+  }
 }
 
-TEST(WireTest, SqlRequestRoundTrip) {
-  const service::SqlRequest request = SampleSqlRequest();
-  const std::string payload = EncodeSqlRequest(request);
-  auto decoded = DecodeSqlRequest(payload);
+TEST(WireGoldenTest, EveryPrefixAndTrailingByteIsRejected) {
+  for (const auto& [name, golden] : LoadGoldens()) {
+    SCOPED_TRACE(name);
+    const MessageType type = TypeNamed(name);
+    const std::string_view payload = golden.payload;
+    for (size_t n = 0; n < payload.size(); ++n) {
+      Result<std::string> decoded = Reencode(type, payload.substr(0, n));
+      ASSERT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+    Result<std::string> trailing = Reencode(type, golden.payload + "x");
+    ASSERT_FALSE(trailing.ok());
+    EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WireGoldenTest, SqlRequestAppendsDisabledRulesToTheVersion1Layout) {
+  const Golden golden = LoadGoldens().at("sql_request");
+  auto decoded = DecodeSqlRequest(golden.payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->sql, request.sql);
-  EXPECT_EQ(decoded->mode, request.mode);
-  EXPECT_EQ(decoded->options.deadline_seconds,
-            request.options.deadline_seconds);
-  EXPECT_EQ(EncodeSqlRequest(*decoded), payload);
+  EXPECT_EQ(decoded->mode, service::SqlMode::kCorrectness);
+  EXPECT_EQ(decoded->disabled_rules, (std::vector<RuleId>{6, 14}));
+  // Without disabled rules the payload is version 1's plus an empty count.
+  decoded->disabled_rules.clear();
+  EXPECT_EQ(EncodeSqlRequest(*decoded),
+            golden.first_word + std::string(4, '\0'));
 }
 
 TEST(WireTest, SqlRequestRejectsUnknownMode) {
-  service::SqlRequest request = SampleSqlRequest();
+  service::SqlRequest request;
+  request.sql = "SELECT l_orderkey FROM lineitem WHERE l_quantity < 25";
   std::string payload = EncodeSqlRequest(request);
   // The mode byte sits right after the length-prefixed sql string.
   payload[4 + request.sql.size()] = 9;
@@ -218,147 +389,19 @@ TEST(WireTest, SqlRequestRejectsUnknownMode) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(WireTest, SqlResponseRoundTrip) {
-  service::SqlResponse response;
-  response.fingerprint = 0xabcdef0123456789ULL;
-  response.canonical_sql = "SELECT l_orderkey AS c1 FROM lineitem";
-  response.operator_count = 3;
-  response.cost = 17.25;
-  response.exercised_rules = {1, 4};
-  response.group_count = 8;
-  response.expr_count = 21;
-  response.budget_exhausted = true;
-  response.plans_executed = 2;
-  response.skipped_identical_plans = 1;
-  service::ViolationSummary v;
-  v.target = 0;
-  v.query = 0;
-  v.target_name = "R4";
-  v.sql = "SELECT *";
-  v.base_rows = 10;
-  v.restricted_rows = 12;
-  response.violations.push_back(v);
-
-  const std::string payload = EncodeSqlResponse(response);
-  auto decoded = DecodeSqlResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->fingerprint, response.fingerprint);
-  EXPECT_EQ(decoded->canonical_sql, response.canonical_sql);
-  EXPECT_EQ(decoded->operator_count, response.operator_count);
-  EXPECT_EQ(decoded->cost, response.cost);
-  EXPECT_EQ(decoded->exercised_rules, response.exercised_rules);
-  EXPECT_EQ(decoded->budget_exhausted, response.budget_exhausted);
-  ASSERT_EQ(decoded->violations.size(), 1u);
-  EXPECT_EQ(decoded->violations[0].target_name, "R4");
-  EXPECT_EQ(decoded->violations[0].restricted_rows, 12);
-  EXPECT_EQ(EncodeSqlResponse(*decoded), payload);
-}
-
-TEST(WireTest, LoadRulesRequestRoundTrip) {
-  service::LoadRulesRequest request;
-  request.text = "rule R { match s: select(select($X)) rewrite $X }";
-  request.dry_run = true;
-  request.options.deadline_seconds = 2.5;
-  const std::string payload = EncodeLoadRulesRequest(request);
-  auto decoded = DecodeLoadRulesRequest(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->text, request.text);
-  EXPECT_EQ(decoded->dry_run, request.dry_run);
-  EXPECT_EQ(decoded->options.deadline_seconds,
-            request.options.deadline_seconds);
-  EXPECT_EQ(EncodeLoadRulesRequest(*decoded), payload);
-}
-
-TEST(WireTest, LoadRulesResponseRoundTrip) {
-  service::LoadRulesResponse response;
-  response.ids = {39, 40};
-  response.names = {"RuleA", "RuleB"};
-  response.compiled = 2;
-  const std::string payload = EncodeLoadRulesResponse(response);
-  auto decoded = DecodeLoadRulesResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->ids, response.ids);
-  EXPECT_EQ(decoded->names, response.names);
-  EXPECT_EQ(decoded->compiled, response.compiled);
-  EXPECT_EQ(EncodeLoadRulesResponse(*decoded), payload);
-}
-
-TEST(WireTest, ListRulesRoundTrip) {
-  // The request has no fields; its payload is empty by construction.
-  EXPECT_TRUE(EncodeListRulesRequest(service::ListRulesRequest{}).empty());
-  ASSERT_TRUE(DecodeListRulesRequest("").ok());
-
-  service::ListRulesResponse response;
-  service::RuleInfo builtin;
-  builtin.id = 0;
-  builtin.name = "JoinCommutativity";
-  builtin.type = 0;
-  builtin.pattern = "Join[Inner](Any, Any)";
-  builtin.origin = 0;
-  service::RuleInfo dsl;
-  dsl.id = 39;
-  dsl.name = "DslProbe";
-  dsl.type = 0;
-  dsl.pattern = "Select(Select(Any))";
-  dsl.origin = 1;
-  response.rules = {builtin, dsl};
-  const std::string payload = EncodeListRulesResponse(response);
-  auto decoded = DecodeListRulesResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->rules.size(), 2u);
-  EXPECT_EQ(decoded->rules[0].name, "JoinCommutativity");
-  EXPECT_EQ(decoded->rules[0].origin, 0);
-  EXPECT_EQ(decoded->rules[1].id, 39);
-  EXPECT_EQ(decoded->rules[1].name, "DslProbe");
-  EXPECT_EQ(decoded->rules[1].pattern, "Select(Select(Any))");
-  EXPECT_EQ(decoded->rules[1].origin, 1);
-  EXPECT_EQ(EncodeListRulesResponse(*decoded), payload);
-}
-
-TEST(WireTest, LoadAndListRulesRejectMalformedPayloads) {
-  service::LoadRulesResponse load;
-  load.ids = {1};
-  load.names = {"R"};
-  load.compiled = 1;
-  const std::string load_payload = EncodeLoadRulesResponse(load);
-  for (size_t n = 0; n < load_payload.size(); ++n) {
-    auto decoded = DecodeLoadRulesResponse(
-        std::string_view(load_payload).substr(0, n));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    auto trailing = DecodeLoadRulesResponse(load_payload + "x");
-    ASSERT_FALSE(trailing.ok());
-    EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    // A garbage name count must be caught by the count-vs-remaining guard,
-    // not drive a giant reserve. Layout: empty ids vector, then 0xffffffff
-    // as the name count with no bytes behind it.
-    std::string huge_count(4, '\0');
-    huge_count += std::string(4, '\xff');
-    auto decoded = DecodeLoadRulesResponse(huge_count);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-
-  service::RuleInfo info;
-  info.id = 7;
-  info.name = "R";
-  info.pattern = "Any";
-  service::ListRulesResponse list;
-  list.rules = {info};
-  const std::string list_payload = EncodeListRulesResponse(list);
-  for (size_t n = 0; n < list_payload.size(); ++n) {
-    auto decoded = DecodeListRulesResponse(
-        std::string_view(list_payload).substr(0, n));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  auto request_trailing = DecodeListRulesRequest("x");
-  ASSERT_FALSE(request_trailing.ok());
-  EXPECT_EQ(request_trailing.status().code(), StatusCode::kInvalidArgument);
+TEST(WireTest, GarbageCountsAreRejectedBeforeAllocating) {
+  // An empty ids vector, then 0xffffffff as the name count with no bytes
+  // behind it: the count-vs-remaining guard must reject it, not reserve.
+  std::string huge_count(4, '\0');
+  huge_count += std::string(4, '\xff');
+  auto decoded = DecodeResponse(MessageType::kLoadRulesResponse, huge_count);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  // The same for a vector of structs (a ListRulesResponse's rules).
+  auto rules = DecodeResponse(MessageType::kListRulesResponse,
+                              std::string(4, '\xff'));
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, ErrorRoundTripUsesFrozenWireCodes) {
@@ -371,13 +414,18 @@ TEST(WireTest, ErrorRoundTripUsesFrozenWireCodes) {
 }
 
 TEST(WireTest, VariantDispatchRoundTripsEveryRequestType) {
+  service::SqlRequest sql;
+  sql.sql = "SELECT n_name FROM nation";
+  sql.disabled_rules = {0};
   const std::vector<service::ServiceRequest> requests = {
-      SampleGenerateRequest(), service::OptimizeRequest{},
-      service::CompressSuiteRequest{}, service::CorrectnessRequest{},
-      SampleSqlRequest(),
+      service::GenerateRequest{},
+      service::CompressSuiteRequest{},
+      service::CorrectnessRequest{},
+      sql,
       service::LoadRulesRequest{"rule R { match s: select($X) rewrite $X }",
                                 true, {}},
-      service::ListRulesRequest{}, service::MetricsRequest{true}};
+      service::ListRulesRequest{},
+      service::MetricsRequest{true}};
   for (const service::ServiceRequest& request : requests) {
     const MessageType type = RequestType(request);
     EXPECT_TRUE(IsRequestType(type));
@@ -386,48 +434,21 @@ TEST(WireTest, VariantDispatchRoundTripsEveryRequestType) {
     EXPECT_EQ(decoded->index(), request.index());
     EXPECT_EQ(EncodeRequest(*decoded), EncodeRequest(request));
   }
-}
-
-TEST(WireTest, TruncatedAndOversizedPayloadsAreInvalid) {
-  const std::string payload = EncodeGenerateRequest(SampleGenerateRequest());
-  // Every strict prefix is truncated; payload + junk has trailing bytes.
-  for (size_t n = 0; n < payload.size(); ++n) {
-    auto decoded = DecodeGenerateRequest(std::string_view(payload).substr(0, n));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  auto trailing = DecodeGenerateRequest(payload + "x");
-  ASSERT_FALSE(trailing.ok());
-  EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+  // Request payloads are not responses, and vice versa.
+  EXPECT_FALSE(DecodeRequest(MessageType::kSqlResponse, "").ok());
+  EXPECT_FALSE(DecodeResponse(MessageType::kSqlRequest, "").ok());
+  EXPECT_FALSE(DecodeRequest(MessageType::kError, "").ok());
 }
 
 TEST(WireTest, FuzzedPayloadsNeverCrashDecoders) {
   std::mt19937_64 rng(20260808);
   std::uniform_int_distribution<int> byte(0, 255);
   std::uniform_int_distribution<int> length(0, 300);
-  const MessageType kDecodable[] = {
-      MessageType::kGenerateRequest,    MessageType::kGenerateResponse,
-      MessageType::kOptimizeRequest,    MessageType::kOptimizeResponse,
-      MessageType::kCompressSuiteRequest,
-      MessageType::kCompressSuiteResponse,
-      MessageType::kCorrectnessRequest, MessageType::kCorrectnessResponse,
-      MessageType::kMetricsRequest,     MessageType::kMetricsResponse,
-      MessageType::kSqlRequest,         MessageType::kSqlResponse,
-      MessageType::kLoadRulesRequest,   MessageType::kLoadRulesResponse,
-      MessageType::kListRulesRequest,   MessageType::kListRulesResponse,
-  };
+  const std::vector<MessageType> types = KnownTypes();
   for (int iteration = 0; iteration < 2000; ++iteration) {
     std::string junk(static_cast<size_t>(length(rng)), '\0');
     for (char& c : junk) c = static_cast<char>(byte(rng));
-    for (MessageType type : kDecodable) {
-      if (IsRequestType(type)) {
-        (void)DecodeRequest(type, junk);
-      } else {
-        (void)DecodeResponse(type, junk);
-      }
-    }
-    Status sink;
-    (void)DecodeError(junk, &sink);
+    for (MessageType type : types) (void)Reencode(type, junk);
   }
 }
 
@@ -436,14 +457,14 @@ TEST(WireTest, FuzzedFrameStreamsNeverCrashTheDecoder) {
   std::uniform_int_distribution<int> byte(0, 255);
   std::uniform_int_distribution<int> chunk_len(1, 64);
   std::uniform_int_distribution<int> mode(0, 2);
+  const std::string generate = EncodeRequest(service::GenerateRequest{});
 
   for (int iteration = 0; iteration < 500; ++iteration) {
     // Build a stream: valid frames, bit-flipped frames, or pure garbage.
     std::string stream;
     const int kind = mode(rng);
     if (kind == 0) {
-      stream = EncodeFrame(MessageType::kGenerateRequest, iteration,
-                           EncodeGenerateRequest(SampleGenerateRequest()));
+      stream = EncodeFrame(MessageType::kGenerateRequest, iteration, generate);
     } else if (kind == 1) {
       stream = EncodeFrame(MessageType::kMetricsRequest, iteration, "");
       const size_t flip = rng() % stream.size();
