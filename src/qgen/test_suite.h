@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "qgen/generation.h"
 
 namespace qtf {
@@ -45,15 +46,23 @@ class TestSuiteGenerator {
   TestSuiteGenerator(const Catalog* catalog, Optimizer* optimizer)
       : catalog_(catalog), optimizer_(optimizer) {}
 
+  /// Optional worker pool the per-query generations fan out across
+  /// (RuleTestFramework::Create attaches its pool when threads > 1).
+  /// Borrowed; the suite is identical with or without it. Generate() must
+  /// then be called from a thread that is not one of the pool's workers.
+  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
+
   /// Generates k distinct queries for every target. Fails if some target
-  /// cannot be covered within the configured trial budget; returns
-  /// kCancelled when config.cancel fires mid-suite.
+  /// cannot be covered within the configured trial budget (the
+  /// lowest-index such query is reported); returns kCancelled when
+  /// config.cancel fires mid-suite.
   Result<TestSuite> Generate(const std::vector<RuleTarget>& targets, int k,
                              const GenerationConfig& config);
 
  private:
   const Catalog* catalog_;
   Optimizer* optimizer_;
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace qtf

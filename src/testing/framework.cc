@@ -132,6 +132,7 @@ Result<std::unique_ptr<RuleTestFramework>> RuleTestFramework::Create(
       framework->db_.get(), framework->optimizer_.get());
   if (options.threads > 1) {
     framework->pool_ = std::make_unique<ThreadPool>(options.threads);
+    framework->suite_generator_->set_thread_pool(framework->pool_.get());
   }
   return framework;
 }

@@ -41,8 +41,9 @@ class RuleTestFramework {
     /// Rule registry; null means MakeDefaultRuleRegistry() (pass a custom
     /// one to inject rules, e.g. buggy variants for harness demos).
     std::unique_ptr<RuleRegistry> rules;
-    /// Worker threads for the parallel edge-cost / compression paths.
-    /// 1 (the default) means no pool — everything runs serial.
+    /// Worker threads for test-suite generation and the parallel
+    /// edge-cost / compression paths. 1 (the default) means no pool —
+    /// everything runs serial.
     int threads = 1;
     /// Capacity of the shared plan cache.
     size_t plan_cache_capacity = 4096;
@@ -104,8 +105,9 @@ class RuleTestFramework {
   /// for experiment accounting (see docs/observability.md).
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
-  /// Worker pool sized by Options::threads; null when threads <= 1. Attach
-  /// to an EdgeCostProvider (set_thread_pool) to parallelize compression.
+  /// Worker pool sized by Options::threads; null when threads <= 1. The
+  /// suite generator uses it from Create on; attach it to an
+  /// EdgeCostProvider (set_thread_pool) to parallelize compression.
   ThreadPool* thread_pool() { return pool_.get(); }
 
   /// The fault injector built from Options::fault_injector; null when the
