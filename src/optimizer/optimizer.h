@@ -180,6 +180,11 @@ class Optimizer {
   obs::Counter* invocations_ = nullptr;
   obs::Counter* searches_ = nullptr;   // invocations that ran a full search
   obs::Counter* saturated_ = nullptr;  // searches that hit the memo limit
+  /// Searches that hit each cap (qtf.optimizer.truncated.*), whatever
+  /// their outcome.
+  obs::Counter* truncated_total_exprs_ = nullptr;
+  obs::Counter* truncated_group_exprs_ = nullptr;
+  obs::Counter* truncated_bindings_ = nullptr;
   obs::Histogram* memo_groups_ = nullptr;
   obs::Histogram* memo_exprs_ = nullptr;
   obs::Histogram* search_seconds_ = nullptr;
