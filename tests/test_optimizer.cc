@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "optimizer/memo.h"
 #include "optimizer/optimizer.h"
 #include "qgen/generators.h"
 #include "rules/default_rules.h"
@@ -225,6 +226,22 @@ TEST_F(OptimizerTest, LojSimplificationFiresWithNullRejectingFilter) {
   auto result2 = optimizer_->Optimize(query2);
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->exercised_rules.count(Id("LojToJoin")), 0u);
+}
+
+TEST_F(OptimizerTest, QueryLargerThanTheMemoIsRefused) {
+  // One operator more than the memo holds: the query's own tree cannot be
+  // stored, so the search is refused before exploring anything.
+  auto reg = std::make_shared<ColumnRegistry>();
+  auto nation = Get("nation", reg.get());
+  LogicalOpPtr root = nation;
+  for (int64_t key = 0; key < Memo::kMaxTotalExprs; ++key) {
+    root = std::make_shared<SelectOp>(
+        root, Eq(Col(nation->columns()[0], ValueType::kInt64), LitInt(key)));
+  }
+  auto result = optimizer_->Optimize(Query{root, reg});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
 }
 
 }  // namespace
