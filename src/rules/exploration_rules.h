@@ -7,31 +7,17 @@
 
 namespace qtf {
 
-// The ~30 logical transformation rules of the optimizer (see DESIGN.md for
-// the semantics and preconditions of each). Factories return fresh rule
-// instances for registration with a RuleRegistry.
+// The logical transformation rules written in C++ (see DESIGN.md for the
+// semantics and preconditions of each). Factories return fresh rule
+// instances for registration with a RuleRegistry. The other 15 of the 30
+// logical rules are defined only in rules/dsl/{join,select,union}_rules.qtr;
+// MakeDefaultRuleRegistry (default_rules.h) compiles them from text
+// embedded at build time.
 
-// Inner-join reordering (join_rules.cc).
-std::unique_ptr<Rule> MakeJoinCommutativity();
-std::unique_ptr<Rule> MakeJoinAssociativityLeft();
-std::unique_ptr<Rule> MakeJoinAssociativityRight();
-
-// Outer-join rules (join_rules.cc).
-std::unique_ptr<Rule> MakeLojToJoin();
-std::unique_ptr<Rule> MakeJoinLojAssocLeft();
-std::unique_ptr<Rule> MakeLojLojAssocRight();
-
-// Select placement (select_rules.cc).
-std::unique_ptr<Rule> MakeSelectPushBelowJoinLeft();
-std::unique_ptr<Rule> MakeSelectPushBelowJoinRight();
-std::unique_ptr<Rule> MakeSelectPushBelowLojLeft();
-std::unique_ptr<Rule> MakeSelectMerge();
-std::unique_ptr<Rule> MakeSelectSplit();
+// Select and project placement (select_rules.cc).
 std::unique_ptr<Rule> MakeSelectPushBelowProject();
 std::unique_ptr<Rule> MakeSelectPushBelowGroupBy();
 std::unique_ptr<Rule> MakeSelectPushBelowUnionAll();
-std::unique_ptr<Rule> MakeSelectPushBelowDistinct();
-std::unique_ptr<Rule> MakeSelectIntoJoin();
 std::unique_ptr<Rule> MakeProjectMerge();
 
 // Aggregation / distinct rules (agg_rules.cc).
@@ -49,8 +35,6 @@ std::unique_ptr<Rule> MakeAntiToLojNullFilter();
 std::unique_ptr<Rule> MakeSemiJoinCommuteSelect();
 
 // Union rules (union_rules.cc).
-std::unique_ptr<Rule> MakeUnionAllCommutativity();
-std::unique_ptr<Rule> MakeUnionAllAssociativity();
 std::unique_ptr<Rule> MakeProjectPushBelowUnionAll();
 
 }  // namespace qtf

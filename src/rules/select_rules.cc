@@ -6,122 +6,6 @@ namespace {
 
 using P = PatternNode;
 
-/// Shared core of the select-below-join pushdown rules: pushes the
-/// conjuncts that reference only `side`'s columns below that side of the
-/// join.
-void PushSelectBelowJoin(const LogicalOp& bound, int side, JoinKind join_kind,
-                         std::vector<LogicalOpPtr>* out) {
-  const auto& select = static_cast<const SelectOp&>(bound);
-  const auto& join = static_cast<const JoinOp&>(*select.child(0));
-  const LogicalOpPtr& target = join.child(static_cast<size_t>(side));
-  ColumnSet target_cols;
-  for (ColumnId id : target->OutputColumns()) target_cols.insert(id);
-  std::vector<ExprPtr> pushable, remaining;
-  SplitPushable(select.predicate(), target_cols, &pushable, &remaining);
-  if (pushable.empty()) return;
-  LogicalOpPtr filtered =
-      std::make_shared<SelectOp>(target, MakeConjunction(pushable));
-  LogicalOpPtr new_join =
-      side == 0 ? std::make_shared<JoinOp>(join_kind, std::move(filtered),
-                                           join.child(1), join.predicate())
-                : std::make_shared<JoinOp>(join_kind, join.child(0),
-                                           std::move(filtered),
-                                           join.predicate());
-  if (remaining.empty()) {
-    out->push_back(std::move(new_join));
-  } else {
-    out->push_back(std::make_shared<SelectOp>(std::move(new_join),
-                                              MakeConjunction(remaining)));
-  }
-}
-
-/// select[p](A join B) -> select[rest](select[pA](A) join B).
-class SelectPushBelowJoinLeft final : public ExplorationRule {
- public:
-  SelectPushBelowJoinLeft()
-      : ExplorationRule(
-            "SelectPushBelowJoinLeft",
-            P::Op(LogicalOpKind::kSelect,
-                  {P::Join(JoinKind::kInner, P::Any(), P::Any())})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    PushSelectBelowJoin(bound, /*side=*/0, JoinKind::kInner, out);
-  }
-};
-
-/// select[p](A join B) -> select[rest](A join select[pB](B)).
-class SelectPushBelowJoinRight final : public ExplorationRule {
- public:
-  SelectPushBelowJoinRight()
-      : ExplorationRule(
-            "SelectPushBelowJoinRight",
-            P::Op(LogicalOpKind::kSelect,
-                  {P::Join(JoinKind::kInner, P::Any(), P::Any())})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    PushSelectBelowJoin(bound, /*side=*/1, JoinKind::kInner, out);
-  }
-};
-
-/// select[p](A loj B) -> select[rest](select[pA](A) loj B). Only the
-/// preserved (left) side admits pushdown through an outer join.
-class SelectPushBelowLojLeft final : public ExplorationRule {
- public:
-  SelectPushBelowLojLeft()
-      : ExplorationRule(
-            "SelectPushBelowLojLeft",
-            P::Op(LogicalOpKind::kSelect,
-                  {P::Join(JoinKind::kLeftOuter, P::Any(), P::Any())})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    PushSelectBelowJoin(bound, /*side=*/0, JoinKind::kLeftOuter, out);
-  }
-};
-
-/// select[p](select[q](A)) -> select[p AND q](A).
-class SelectMerge final : public ExplorationRule {
- public:
-  SelectMerge()
-      : ExplorationRule("SelectMerge",
-                        P::Op(LogicalOpKind::kSelect,
-                              {P::Op(LogicalOpKind::kSelect, {P::Any()})})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& outer = static_cast<const SelectOp&>(bound);
-    const auto& inner = static_cast<const SelectOp&>(*outer.child(0));
-    std::vector<ExprPtr> conjuncts = SplitConjuncts(outer.predicate());
-    std::vector<ExprPtr> inner_conjuncts = SplitConjuncts(inner.predicate());
-    conjuncts.insert(conjuncts.end(), inner_conjuncts.begin(),
-                     inner_conjuncts.end());
-    out->push_back(std::make_shared<SelectOp>(inner.child(0),
-                                              MakeConjunction(conjuncts)));
-  }
-};
-
-/// select[c1 AND rest](A) -> select[c1](select[rest](A)).
-class SelectSplit final : public ExplorationRule {
- public:
-  SelectSplit()
-      : ExplorationRule("SelectSplit",
-                        P::Op(LogicalOpKind::kSelect, {P::Any()})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& select = static_cast<const SelectOp&>(bound);
-    std::vector<ExprPtr> conjuncts = SplitConjuncts(select.predicate());
-    if (conjuncts.size() < 2) return;
-    std::vector<ExprPtr> rest(conjuncts.begin() + 1, conjuncts.end());
-    LogicalOpPtr inner =
-        std::make_shared<SelectOp>(select.child(0), MakeConjunction(rest));
-    out->push_back(
-        std::make_shared<SelectOp>(std::move(inner), conjuncts[0]));
-  }
-};
-
 /// select[p](project(A)) -> project(select[p'](A)), with computed columns
 /// expanded inside p.
 class SelectPushBelowProject final : public ExplorationRule {
@@ -208,48 +92,6 @@ class SelectPushBelowUnionAll final : public ExplorationRule {
   }
 };
 
-/// select[p](distinct(X)) -> distinct(select[p](X)).
-class SelectPushBelowDistinct final : public ExplorationRule {
- public:
-  SelectPushBelowDistinct()
-      : ExplorationRule("SelectPushBelowDistinct",
-                        P::Op(LogicalOpKind::kSelect,
-                              {P::Op(LogicalOpKind::kDistinct, {P::Any()})})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& select = static_cast<const SelectOp&>(bound);
-    const auto& distinct = static_cast<const DistinctOp&>(*select.child(0));
-    LogicalOpPtr filtered =
-        std::make_shared<SelectOp>(distinct.child(0), select.predicate());
-    out->push_back(std::make_shared<DistinctOp>(std::move(filtered)));
-  }
-};
-
-/// select[p](A join[q] B) -> A join[p AND q] B (predicate absorption into
-/// an inner join; also turns select-over-cross-join into a real join).
-class SelectIntoJoin final : public ExplorationRule {
- public:
-  SelectIntoJoin()
-      : ExplorationRule(
-            "SelectIntoJoin",
-            P::Op(LogicalOpKind::kSelect,
-                  {P::Join(JoinKind::kInner, P::Any(), P::Any())})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& select = static_cast<const SelectOp&>(bound);
-    const auto& join = static_cast<const JoinOp&>(*select.child(0));
-    std::vector<ExprPtr> conjuncts = SplitConjuncts(select.predicate());
-    std::vector<ExprPtr> join_conjuncts = SplitConjuncts(join.predicate());
-    conjuncts.insert(conjuncts.end(), join_conjuncts.begin(),
-                     join_conjuncts.end());
-    ExprPtr merged = MakeConjunction(conjuncts);
-    out->push_back(std::make_shared<JoinOp>(JoinKind::kInner, join.child(0),
-                                            join.child(1), std::move(merged)));
-  }
-};
-
 /// project(project(X)) -> project(X) with inner computed columns expanded.
 class ProjectMerge final : public ExplorationRule {
  public:
@@ -276,21 +118,6 @@ class ProjectMerge final : public ExplorationRule {
 
 }  // namespace
 
-std::unique_ptr<Rule> MakeSelectPushBelowJoinLeft() {
-  return std::make_unique<SelectPushBelowJoinLeft>();
-}
-std::unique_ptr<Rule> MakeSelectPushBelowJoinRight() {
-  return std::make_unique<SelectPushBelowJoinRight>();
-}
-std::unique_ptr<Rule> MakeSelectPushBelowLojLeft() {
-  return std::make_unique<SelectPushBelowLojLeft>();
-}
-std::unique_ptr<Rule> MakeSelectMerge() {
-  return std::make_unique<SelectMerge>();
-}
-std::unique_ptr<Rule> MakeSelectSplit() {
-  return std::make_unique<SelectSplit>();
-}
 std::unique_ptr<Rule> MakeSelectPushBelowProject() {
   return std::make_unique<SelectPushBelowProject>();
 }
@@ -299,12 +126,6 @@ std::unique_ptr<Rule> MakeSelectPushBelowGroupBy() {
 }
 std::unique_ptr<Rule> MakeSelectPushBelowUnionAll() {
   return std::make_unique<SelectPushBelowUnionAll>();
-}
-std::unique_ptr<Rule> MakeSelectPushBelowDistinct() {
-  return std::make_unique<SelectPushBelowDistinct>();
-}
-std::unique_ptr<Rule> MakeSelectIntoJoin() {
-  return std::make_unique<SelectIntoJoin>();
 }
 std::unique_ptr<Rule> MakeProjectMerge() {
   return std::make_unique<ProjectMerge>();

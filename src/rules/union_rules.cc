@@ -6,46 +6,6 @@ namespace {
 
 using P = PatternNode;
 
-/// A unionall B -> B unionall A (bag union commutes; the output ids are
-/// positional, and both sides agree on types per position).
-class UnionAllCommutativity final : public ExplorationRule {
- public:
-  UnionAllCommutativity()
-      : ExplorationRule("UnionAllCommutativity",
-                        P::Op(LogicalOpKind::kUnionAll, {P::Any(), P::Any()})) {
-  }
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& u = static_cast<const UnionAllOp&>(bound);
-    out->push_back(std::make_shared<UnionAllOp>(u.child(1), u.child(0),
-                                                u.output_ids()));
-  }
-};
-
-/// (A unionall B) unionall C -> A unionall (B unionall C). The inner
-/// union's output ids are reused for the new (B unionall C) node — types
-/// match positionally by construction.
-class UnionAllAssociativity final : public ExplorationRule {
- public:
-  UnionAllAssociativity()
-      : ExplorationRule(
-            "UnionAllAssociativity",
-            P::Op(LogicalOpKind::kUnionAll,
-                  {P::Op(LogicalOpKind::kUnionAll, {P::Any(), P::Any()}),
-                   P::Any()})) {}
-
-  void Apply(const LogicalOp& bound,
-             std::vector<LogicalOpPtr>* out) const override {
-    const auto& top = static_cast<const UnionAllOp&>(bound);
-    const auto& lower = static_cast<const UnionAllOp&>(*top.child(0));
-    LogicalOpPtr inner = std::make_shared<UnionAllOp>(
-        lower.child(1), top.child(1), lower.output_ids());
-    out->push_back(std::make_shared<UnionAllOp>(
-        lower.child(0), std::move(inner), top.output_ids()));
-  }
-};
-
 /// project(X unionall Y) -> project_l(X) unionall project_r(Y), rewriting
 /// item expressions in terms of each side's columns. Computed item ids are
 /// reused in both branches (each branch is a separate scope) and become the
@@ -98,12 +58,6 @@ class ProjectPushBelowUnionAll final : public ExplorationRule {
 
 }  // namespace
 
-std::unique_ptr<Rule> MakeUnionAllCommutativity() {
-  return std::make_unique<UnionAllCommutativity>();
-}
-std::unique_ptr<Rule> MakeUnionAllAssociativity() {
-  return std::make_unique<UnionAllAssociativity>();
-}
 std::unique_ptr<Rule> MakeProjectPushBelowUnionAll() {
   return std::make_unique<ProjectPushBelowUnionAll>();
 }

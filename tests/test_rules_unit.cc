@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "logical/validate.h"
+#include "rules/default_rules.h"
 #include "rules/exploration_rules.h"
 #include "storage/tpch.h"
 
@@ -59,18 +60,27 @@ class RuleUnitTest : public ::testing::Test {
               Col(customer_->columns()[0], ValueType::kInt64));
   }
 
+  /// A rule of the default registry, wherever it is defined: the rules
+  /// ported to rules/dsl/*.qtr have no C++ factory.
+  const Rule& Named(const std::string& name) {
+    const RuleId id = rules_->FindByName(name);
+    QTF_CHECK(id >= 0) << "no rule named " << name;
+    return rules_->rule(id);
+  }
+
   std::unique_ptr<Database> db_;
   ColumnRegistryPtr registry_;
   std::shared_ptr<const GetOp> nation_, region_, customer_, orders_;
+  std::unique_ptr<RuleRegistry> rules_ = MakeDefaultRuleRegistry();
 };
 
 // ---- join rules ----
 
 TEST_F(RuleUnitTest, JoinCommutativitySwapsChildren) {
-  auto rule = MakeJoinCommutativity();
+  const Rule& rule = Named("JoinCommutativity");
   auto join = std::make_shared<JoinOp>(JoinKind::kInner, nation_, region_,
                                        NationRegionPred());
-  auto out = Apply(*rule, join);
+  auto out = Apply(rule, join);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->child(0).get(), region_.get());
   EXPECT_EQ(out[0]->child(1).get(), nation_.get());
@@ -80,12 +90,12 @@ TEST_F(RuleUnitTest, JoinAssociativityLeftRedistributesConjuncts) {
   // (customer join nation) join region, with preds customer-nation and
   // nation-region. Reassociation must put the nation-region conjunct into
   // the new inner join.
-  auto rule = MakeJoinAssociativityLeft();
+  const Rule& rule = Named("JoinAssociativityLeft");
   auto lower = std::make_shared<JoinOp>(JoinKind::kInner, customer_, nation_,
                                         CustomerNationPred());
   auto top = std::make_shared<JoinOp>(JoinKind::kInner, lower, region_,
                                       NationRegionPred());
-  auto out = Apply(*rule, top);
+  auto out = Apply(rule, top);
   ASSERT_EQ(out.size(), 1u);
   const auto& new_top = static_cast<const JoinOp&>(*out[0]);
   EXPECT_EQ(new_top.child(0).get(), customer_.get());
@@ -98,12 +108,12 @@ TEST_F(RuleUnitTest, JoinAssociativityLeftRedistributesConjuncts) {
 }
 
 TEST_F(RuleUnitTest, JoinAssociativityRightMirrors) {
-  auto rule = MakeJoinAssociativityRight();
+  const Rule& rule = Named("JoinAssociativityRight");
   auto lower = std::make_shared<JoinOp>(JoinKind::kInner, customer_, nation_,
                                         CustomerNationPred());
   auto top = std::make_shared<JoinOp>(JoinKind::kInner, orders_, lower,
                                       OrdersCustomerPred());
-  auto out = Apply(*rule, top);
+  auto out = Apply(rule, top);
   ASSERT_EQ(out.size(), 1u);
   const auto& new_top = static_cast<const JoinOp&>(*out[0]);
   const auto& inner = static_cast<const JoinOp&>(*new_top.child(0));
@@ -113,12 +123,12 @@ TEST_F(RuleUnitTest, JoinAssociativityRightMirrors) {
 }
 
 TEST_F(RuleUnitTest, CrossJoinsReassociateWithNullPredicates) {
-  auto rule = MakeJoinAssociativityLeft();
+  const Rule& rule = Named("JoinAssociativityLeft");
   auto lower =
       std::make_shared<JoinOp>(JoinKind::kInner, customer_, nation_, nullptr);
   auto top =
       std::make_shared<JoinOp>(JoinKind::kInner, lower, region_, nullptr);
-  auto out = Apply(*rule, top);
+  auto out = Apply(rule, top);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(static_cast<const JoinOp&>(*out[0]).predicate(), nullptr);
 }
@@ -126,34 +136,34 @@ TEST_F(RuleUnitTest, CrossJoinsReassociateWithNullPredicates) {
 // ---- outer-join rules ----
 
 TEST_F(RuleUnitTest, LojToJoinRequiresNullRejection) {
-  auto rule = MakeLojToJoin();
+  const Rule& rule = Named("LojToJoin");
   auto loj = std::make_shared<JoinOp>(JoinKind::kLeftOuter, nation_, region_,
                                       NationRegionPred());
   // Null-rejecting filter on the right side: fires.
   auto good = std::make_shared<SelectOp>(
       loj,
       Eq(Col(region_->columns()[1], ValueType::kString), LitString("ASIA")));
-  EXPECT_EQ(Apply(*rule, good).size(), 1u);
+  EXPECT_EQ(Apply(rule, good).size(), 1u);
 
   // IS NULL keeps the null-extended rows: must not fire.
   auto bad = std::make_shared<SelectOp>(
       loj, IsNull(Col(region_->columns()[1], ValueType::kString)));
-  EXPECT_TRUE(Apply(*rule, bad).empty());
+  EXPECT_TRUE(Apply(rule, bad).empty());
 
   // Predicate only on the left side: must not fire either.
   auto left_only = std::make_shared<SelectOp>(
       loj, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(3)));
-  EXPECT_TRUE(Apply(*rule, left_only).empty());
+  EXPECT_TRUE(Apply(rule, left_only).empty());
 }
 
 TEST_F(RuleUnitTest, JoinLojAssocLeftRequiresPredOnAB) {
-  auto rule = MakeJoinLojAssocLeft();
+  const Rule& rule = Named("JoinLojAssocLeft");
   auto loj = std::make_shared<JoinOp>(JoinKind::kLeftOuter, nation_, region_,
                                       NationRegionPred());
   // Top predicate customer-nation (A u B only): fires.
   auto good = std::make_shared<JoinOp>(JoinKind::kInner, customer_, loj,
                                        CustomerNationPred());
-  auto out = Apply(*rule, good);
+  auto out = Apply(rule, good);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(static_cast<const JoinOp&>(*out[0]).join_kind(),
             JoinKind::kLeftOuter);
@@ -163,30 +173,30 @@ TEST_F(RuleUnitTest, JoinLojAssocLeftRequiresPredOnAB) {
       JoinKind::kInner, customer_, loj,
       Eq(Col(customer_->columns()[2], ValueType::kInt64),
          Col(region_->columns()[0], ValueType::kInt64)));
-  EXPECT_TRUE(Apply(*rule, bad).empty());
+  EXPECT_TRUE(Apply(rule, bad).empty());
 }
 
 TEST_F(RuleUnitTest, LojLojAssocRightNeedsNullRejectingInnerPred) {
-  auto rule = MakeLojLojAssocRight();
+  const Rule& rule = Named("LojLojAssocRight");
   auto lower = std::make_shared<JoinOp>(JoinKind::kLeftOuter, customer_,
                                         nation_, CustomerNationPred());
   // Top pred nation-region: references only B u C and rejects NULLs of B.
   auto good = std::make_shared<JoinOp>(JoinKind::kLeftOuter, lower, region_,
                                        NationRegionPred());
-  EXPECT_EQ(Apply(*rule, good).size(), 1u);
+  EXPECT_EQ(Apply(rule, good).size(), 1u);
 
   // Top pred referencing A (customer): must not fire.
   auto bad = std::make_shared<JoinOp>(
       JoinKind::kLeftOuter, lower, region_,
       Eq(Col(customer_->columns()[2], ValueType::kInt64),
          Col(region_->columns()[0], ValueType::kInt64)));
-  EXPECT_TRUE(Apply(*rule, bad).empty());
+  EXPECT_TRUE(Apply(rule, bad).empty());
 
   // Top pred IS NULL on B: not null-rejecting -> must not fire.
   auto not_rejecting = std::make_shared<JoinOp>(
       JoinKind::kLeftOuter, lower, region_,
       IsNull(Col(nation_->columns()[0], ValueType::kInt64)));
-  EXPECT_TRUE(Apply(*rule, not_rejecting).empty());
+  EXPECT_TRUE(Apply(rule, not_rejecting).empty());
 }
 
 // ---- select rules ----
@@ -201,16 +211,16 @@ TEST_F(RuleUnitTest, SelectPushBelowJoinSplitsBySide) {
   auto select = std::make_shared<SelectOp>(
       join, And(left_conjunct, right_conjunct));
 
-  auto left_rule = MakeSelectPushBelowJoinLeft();
-  auto left_out = Apply(*left_rule, select);
+  const Rule& left_rule = Named("SelectPushBelowJoinLeft");
+  auto left_out = Apply(left_rule, select);
   ASSERT_EQ(left_out.size(), 1u);
   // Remaining right conjunct stays above: root is still a Select.
   EXPECT_EQ(left_out[0]->kind(), LogicalOpKind::kSelect);
   EXPECT_EQ(left_out[0]->child(0)->kind(), LogicalOpKind::kJoin);
   EXPECT_EQ(left_out[0]->child(0)->child(0)->kind(), LogicalOpKind::kSelect);
 
-  auto right_rule = MakeSelectPushBelowJoinRight();
-  auto right_out = Apply(*right_rule, select);
+  const Rule& right_rule = Named("SelectPushBelowJoinRight");
+  auto right_out = Apply(right_rule, select);
   ASSERT_EQ(right_out.size(), 1u);
   EXPECT_EQ(right_out[0]->child(0)->child(1)->kind(),
             LogicalOpKind::kSelect);
@@ -221,8 +231,8 @@ TEST_F(RuleUnitTest, SelectPushBelowJoinNoPushableConjunct) {
   auto join = std::make_shared<JoinOp>(JoinKind::kInner, nation_, region_,
                                        nullptr);
   auto select = std::make_shared<SelectOp>(join, NationRegionPred());
-  EXPECT_TRUE(Apply(*MakeSelectPushBelowJoinLeft(), select).empty());
-  EXPECT_TRUE(Apply(*MakeSelectPushBelowJoinRight(), select).empty());
+  EXPECT_TRUE(Apply(Named("SelectPushBelowJoinLeft"), select).empty());
+  EXPECT_TRUE(Apply(Named("SelectPushBelowJoinRight"), select).empty());
 }
 
 TEST_F(RuleUnitTest, SelectPushBelowLojOnlyPreservedSide) {
@@ -230,7 +240,7 @@ TEST_F(RuleUnitTest, SelectPushBelowLojOnlyPreservedSide) {
                                       NationRegionPred());
   auto select = std::make_shared<SelectOp>(
       loj, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(3)));
-  auto out = Apply(*MakeSelectPushBelowLojLeft(), select);
+  auto out = Apply(Named("SelectPushBelowLojLeft"), select);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->kind(), LogicalOpKind::kJoin);
   EXPECT_EQ(out[0]->child(0)->kind(), LogicalOpKind::kSelect);
@@ -241,12 +251,12 @@ TEST_F(RuleUnitTest, SelectMergeAndSplitRoundTrip) {
   ExprPtr q = Eq(Col(nation_->columns()[2], ValueType::kInt64), LitInt(2));
   auto inner = std::make_shared<SelectOp>(nation_, p);
   auto outer = std::make_shared<SelectOp>(inner, q);
-  auto merged = Apply(*MakeSelectMerge(), outer);
+  auto merged = Apply(Named("SelectMerge"), outer);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0]->kind(), LogicalOpKind::kSelect);
   EXPECT_EQ(merged[0]->child(0)->kind(), LogicalOpKind::kGet);
 
-  auto split = Apply(*MakeSelectSplit(), merged[0]);
+  auto split = Apply(Named("SelectSplit"), merged[0]);
   ASSERT_EQ(split.size(), 1u);
   EXPECT_EQ(split[0]->child(0)->kind(), LogicalOpKind::kSelect);
 }
@@ -254,7 +264,7 @@ TEST_F(RuleUnitTest, SelectMergeAndSplitRoundTrip) {
 TEST_F(RuleUnitTest, SelectSplitNeedsTwoConjuncts) {
   auto select = std::make_shared<SelectOp>(
       nation_, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(1)));
-  EXPECT_TRUE(Apply(*MakeSelectSplit(), select).empty());
+  EXPECT_TRUE(Apply(Named("SelectSplit"), select).empty());
 }
 
 TEST_F(RuleUnitTest, SelectPushBelowProjectExpandsComputedColumns) {
@@ -306,7 +316,7 @@ TEST_F(RuleUnitTest, SelectIntoJoinAbsorbsPredicate) {
   auto join =
       std::make_shared<JoinOp>(JoinKind::kInner, nation_, region_, nullptr);
   auto select = std::make_shared<SelectOp>(join, NationRegionPred());
-  auto out = Apply(*MakeSelectIntoJoin(), select);
+  auto out = Apply(Named("SelectIntoJoin"), select);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->kind(), LogicalOpKind::kJoin);
   EXPECT_NE(static_cast<const JoinOp&>(*out[0]).predicate(), nullptr);
@@ -606,7 +616,7 @@ TEST_F(RuleUnitTest, UnionCommutativityKeepsOutputIds) {
     out_ids.push_back(registry_->Allocate("u", registry_->TypeOf(id)));
   }
   auto u = std::make_shared<UnionAllOp>(region_, r2, out_ids);
-  auto out = Apply(*MakeUnionAllCommutativity(), u);
+  auto out = Apply(Named("UnionAllCommutativity"), u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->OutputColumns(), u->OutputColumns());
   EXPECT_EQ(out[0]->child(0).get(), r2.get());
@@ -626,7 +636,7 @@ TEST_F(RuleUnitTest, UnionAssociativityReusesInnerIds) {
   }
   auto inner = std::make_shared<UnionAllOp>(region_, r2, inner_ids);
   auto outer = std::make_shared<UnionAllOp>(inner, r3, outer_ids);
-  auto out = Apply(*MakeUnionAllAssociativity(), outer);
+  auto out = Apply(Named("UnionAllAssociativity"), outer);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->child(0).get(), region_.get());
   EXPECT_EQ(out[0]->child(1)->kind(), LogicalOpKind::kUnionAll);
