@@ -380,8 +380,7 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
   // LogicalTreeEquals-identical to the input, so results are unchanged.
   Query canonical = query;
   canonical.root = interner_->Intern(query.root);
-  PlanCache* cache =
-      options.plan_cache != nullptr ? options.plan_cache : plan_cache_;
+  PlanCache* cache = plan_cache_;
   if (cache != nullptr && fault_injector_ != nullptr &&
       fault_injector_->enabled()) {
     // An unavailable cache is degraded around, not fatal: this invocation

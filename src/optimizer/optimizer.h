@@ -30,9 +30,6 @@ using RuleIdSet = std::set<RuleId>;
 /// and the monotonicity pruning rely on).
 struct OptimizerOptions {
   RuleIdSet disabled_rules;
-  /// When set, overrides the optimizer-level plan cache for this
-  /// invocation (see Optimizer::set_plan_cache). Borrowed, not owned.
-  PlanCache* plan_cache = nullptr;
   /// Limits on this search. An all-unlimited budget (the default) falls
   /// back to Optimizer::set_default_budget. When a limit trips, the search
   /// keeps the memo it has, still implements and costs it, and returns the

@@ -138,8 +138,7 @@ RuleTestService::RuleTestService(std::unique_ptr<RuleTestFramework> framework)
   obs::MetricsRegistry* metrics = framework_->metrics();
   requests_ = metrics->counter("qtf.service.requests");
   request_errors_ = metrics->counter("qtf.service.request_errors");
-  // Shares the framework's registry, so Create-time Options::dsl_rules
-  // loads are already counted here.
+  // Counts the rules LoadRules registers.
   dsl_loaded_ = metrics->counter("qtf.dsl.loaded");
   request_seconds_ = metrics->histogram("qtf.service.request_seconds");
 }

@@ -1,10 +1,5 @@
 #include "testing/framework.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "ruledsl/compiler.h"
-
 namespace qtf {
 
 namespace {
@@ -59,43 +54,6 @@ Status ValidateOptions(const RuleTestFramework::Options& options) {
   return Status::OK();
 }
 
-/// Compiles Options::dsl_rules / dsl_rule_files and registers the results
-/// after the builtin registry, counting qtf.dsl.loaded. Runs before the
-/// Optimizer is constructed, so per-rule counters cover DSL rules without
-/// a SyncRuleMetrics() round.
-Status RegisterDslRules(const RuleTestFramework::Options& options,
-                        RuleTestFramework* framework) {
-  std::vector<std::string> texts = options.dsl_rules;
-  for (const std::string& path : options.dsl_rule_files) {
-    std::ifstream in(path);
-    if (!in) {
-      return Status::InvalidArgument(
-          "Options::dsl_rule_files: cannot read '" + path + "'");
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    texts.push_back(std::move(text).str());
-  }
-  ruledsl::CompileOptions compile_options;
-  compile_options.metrics = framework->metrics();
-  obs::Counter* loaded = framework->metrics()->counter("qtf.dsl.loaded");
-  RuleRegistry* registry = framework->mutable_rules();
-  for (const std::string& text : texts) {
-    QTF_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<Rule>> rules,
-                         ruledsl::CompileRuleDsl(text, compile_options));
-    for (std::unique_ptr<Rule>& rule : rules) {
-      if (registry->FindByName(rule->name()) != -1) {
-        return Status::InvalidArgument(
-            "Options::dsl_rules: rule name '" + rule->name() +
-            "' collides with an already-registered rule");
-      }
-      registry->Register(std::move(rule));
-      loaded->Increment();
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<RuleTestFramework>> RuleTestFramework::Create(
@@ -114,7 +72,6 @@ Result<std::unique_ptr<RuleTestFramework>> RuleTestFramework::Create(
   framework->registry_ = options.rules != nullptr
                              ? std::move(options.rules)
                              : MakeDefaultRuleRegistry();
-  QTF_RETURN_NOT_OK(RegisterDslRules(options, framework.get()));
   framework->optimizer_ = std::make_unique<Optimizer>(
       framework->registry_.get(), &framework->metrics_);
   framework->optimizer_->set_default_budget(options.default_budget);

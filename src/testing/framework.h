@@ -55,15 +55,6 @@ class RuleTestFramework {
     /// owned by the framework into the optimizer, edge-cost provider paths,
     /// and correctness execution, reporting into qtf.robustness.* metrics.
     FaultInjector::Config fault_injector;
-    /// Declarative rules (docs/RULES.md): each entry is the text of one or
-    /// more .qtr rule specs, compiled by src/ruledsl/ and registered after
-    /// the builtin registry at Create time (tagged RuleOrigin::kDsl, ids
-    /// following the builtins in entry order). Compile failures surface as
-    /// kInvalidArgument with the spec's line:col diagnostics.
-    std::vector<std::string> dsl_rules;
-    /// Same, but each entry is a path to a .qtr file read at Create time;
-    /// unreadable paths are kInvalidArgument naming the file.
-    std::vector<std::string> dsl_rule_files;
   };
 
   /// Builds the framework as configured, after validating the options:

@@ -159,17 +159,6 @@ TEST_F(PlanCacheTest, OptimizerConsultsTheCache) {
   fw_->optimizer()->set_plan_cache(fw_->plan_cache());
 }
 
-TEST_F(PlanCacheTest, PerInvocationOptionsOverrideTheDefaultCache) {
-  PlanCache override_cache;
-  Query q = MakeQuery(15);
-  OptimizerOptions options;
-  options.plan_cache = &override_cache;
-  ASSERT_TRUE(fw_->optimizer()->Optimize(q, options).ok());
-  ASSERT_TRUE(fw_->optimizer()->Optimize(q, options).ok());
-  EXPECT_EQ(override_cache.misses(), 1);
-  EXPECT_EQ(override_cache.hits(), 1);
-}
-
 TEST_F(PlanCacheTest, CompressionAfterSuiteGenerationReusesWork) {
   // Build a suite, then run the pair-graph edge-cost construction twice
   // with fresh providers — the way experiments re-run across
