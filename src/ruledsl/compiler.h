@@ -14,19 +14,20 @@ namespace qtf {
 namespace ruledsl {
 
 struct CompileOptions {
-  /// When set: compile failures count on qtf.dsl.compile_errors, and
-  /// compiled rules drop semantically invalid rewrite instantiations on
-  /// qtf.dsl.rejected instead of emitting them.
+  /// When set, compile failures count on qtf.dsl.compile_errors and the
+  /// compiled rules count the rewrite instantiations they drop as
+  /// semantically invalid on qtf.dsl.rejected. Invalid instantiations are
+  /// dropped either way.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Compiles parsed rule specs onto the optimizer's pattern machinery: each
 /// spec's match clause lowers to a PatternNode tree, and the rule itself
-/// becomes an interpreted ExplorationRule whose Apply binds placeholders /
-/// labels against the bound tree, evaluates guards, and instantiates the
-/// rewrite templates by sharing bound subtrees (never mutating them — the
-/// memo owns the GroupRef leaves). Compiled rules are tagged
-/// RuleOrigin::kDsl.
+/// becomes an interpreted ExplorationRule. Compilation resolves
+/// placeholders and labels to slots; Apply binds the slots from the bound
+/// tree, evaluates guards, and instantiates the rewrite templates by
+/// sharing bound subtrees (never mutating them — the memo owns the GroupRef
+/// leaves). Compiled rules are tagged RuleOrigin::kDsl.
 ///
 /// Binding errors (unbound placeholder, pred() on a label without a
 /// predicate, ids() on a non-unionall label, duplicate names, ...) are
