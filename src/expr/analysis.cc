@@ -1,6 +1,7 @@
 #include "expr/analysis.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -55,16 +56,23 @@ ExprPtr MakeConjunction(std::vector<ExprPtr> conjuncts) {
   if (conjuncts.size() == 1) return conjuncts[0];
   // Canonical order: different rule-derivation paths that assemble the same
   // conjunct set must produce structurally identical predicates, or memo
-  // deduplication breaks down and the search space explodes.
-  std::sort(conjuncts.begin(), conjuncts.end(),
-            [](const ExprPtr& a, const ExprPtr& b) {
-              size_t ha = ExprHash(*a), hb = ExprHash(*b);
-              if (ha != hb) return ha < hb;
-              return a->ToString(nullptr) < b->ToString(nullptr);
+  // deduplication breaks down and the search space explodes. Each conjunct
+  // is hashed once, not at every comparison.
+  std::vector<std::pair<size_t, ExprPtr>> keyed;
+  keyed.reserve(conjuncts.size());
+  for (ExprPtr& conjunct : conjuncts) {
+    const size_t hash = ExprHash(*conjunct);
+    keyed.emplace_back(hash, std::move(conjunct));
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const std::pair<size_t, ExprPtr>& a,
+               const std::pair<size_t, ExprPtr>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second->ToString(nullptr) < b.second->ToString(nullptr);
             });
-  ExprPtr result = conjuncts[0];
-  for (size_t i = 1; i < conjuncts.size(); ++i) {
-    result = And(result, conjuncts[i]);
+  ExprPtr result = keyed[0].second;
+  for (size_t i = 1; i < keyed.size(); ++i) {
+    result = And(result, keyed[i].second);
   }
   return result;
 }

@@ -140,6 +140,8 @@ RuleTestService::RuleTestService(std::unique_ptr<RuleTestFramework> framework)
   request_errors_ = metrics->counter("qtf.service.request_errors");
   // Counts the rules LoadRules registers.
   dsl_loaded_ = metrics->counter("qtf.dsl.loaded");
+  statement_hits_ = metrics->counter("qtf.sql.statement_cache.hits");
+  statement_misses_ = metrics->counter("qtf.sql.statement_cache.misses");
   request_seconds_ = metrics->histogram("qtf.service.request_seconds");
 }
 
@@ -344,11 +346,14 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
 
   RequestScope scope(request.options, limits(), request_seconds_);
   QTF_RETURN_NOT_OK(scope.Check("sql parse"));
-  QTF_ASSIGN_OR_RETURN(Query query, frontend_->Parse(request.sql));
+  QTF_ASSIGN_OR_RETURN(std::shared_ptr<const BoundStatement> statement,
+                       BindStatement(request.sql));
+  const Query& query = statement->query;
 
   SqlResponse response;
+  // Both are memoized on the interned root, so a cache hit does no walk.
   response.fingerprint = TreeFingerprint(*query.root);
-  response.canonical_sql = GenerateSql(query);
+  response.canonical_sql = statement->canonical_sql;
   response.operator_count = CountOps(*query.root);
   if (request.mode == SqlMode::kParseOnly) return response;
 
@@ -394,6 +399,38 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
       framework_->runner()->Run(suite, suite.per_target, scope.cancel()));
   ReportCorrectness(report, &response);
   return response;
+}
+
+Result<std::shared_ptr<const RuleTestService::BoundStatement>>
+RuleTestService::BindStatement(const std::string& sql) {
+  {
+    std::lock_guard<std::mutex> lock(statements_mutex_);
+    auto it = statements_.find(sql);
+    if (it != statements_.end()) {
+      statement_hits_->Increment();
+      return it->second;
+    }
+  }
+  statement_misses_->Increment();
+  QTF_ASSIGN_OR_RETURN(Query query, frontend_->Parse(sql));
+  std::string canonical_sql = GenerateSql(query);
+  const size_t bytes = sql.size() + canonical_sql.size();
+  auto statement = std::make_shared<const BoundStatement>(
+      BoundStatement{std::move(query), std::move(canonical_sql)});
+  if (bytes > kStatementCacheBytes) return statement;
+
+  std::lock_guard<std::mutex> lock(statements_mutex_);
+  // A concurrent miss on the same text may have cached it first; its entry
+  // is equal, so either serves.
+  if (statements_.count(sql) > 0) return statement;
+  if (statements_.size() >= framework_->plan_cache()->capacity() ||
+      statement_bytes_ + bytes > kStatementCacheBytes) {
+    statements_.clear();
+    statement_bytes_ = 0;
+  }
+  statements_.emplace(sql, statement);
+  statement_bytes_ += bytes;
+  return statement;
 }
 
 Result<LoadRulesResponse> RuleTestService::DoLoadRules(

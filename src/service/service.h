@@ -2,7 +2,10 @@
 #define QTF_SERVICE_SERVICE_H_
 
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
+#include <string>
+#include <unordered_map>
 
 #include "service/admission.h"
 #include "service/api.h"
@@ -26,7 +29,8 @@ namespace service {
 ///
 /// Thread-safety: every method may be called concurrently. Requests execute
 /// on the caller's thread (transports bring their own worker pool); shared
-/// mutable state is confined to the framework's thread-safe components.
+/// mutable state is confined to the framework's thread-safe components and
+/// the mutex-guarded statement cache.
 class RuleTestService {
  public:
   struct Config {
@@ -51,6 +55,8 @@ class RuleTestService {
   /// SQL text in, bound-tree facts (and optionally optimization /
   /// correctness results) out — the SQL frontend behind the service API.
   /// In kOptimize, `disabled_rules` makes it the remote Plan(q, ¬R) probe.
+  /// A repeated statement text is served from the statement cache without
+  /// being parsed, bound or rendered again (see BindStatement).
   Result<SqlResponse> Sql(const SqlRequest& request);
   /// Compile .qtr rule specs (src/ruledsl/) and register them into the
   /// resident registry — the discovered-rule ingestion path (ROADMAP
@@ -64,6 +70,11 @@ class RuleTestService {
   /// Metrics bypass admission entirely: the registry must stay observable
   /// exactly when the service is saturated and shedding.
   Result<MetricsResponse> Metrics(const MetricsRequest& request);
+
+  /// Byte bound of the statement cache, counted per entry as the request
+  /// text plus its canonical SQL. A statement larger than this is answered
+  /// but never cached; an insert that would pass it empties the cache.
+  static constexpr size_t kStatementCacheBytes = size_t{4} << 20;
 
   /// Variant entry point for transports and generic callers: admits (except
   /// MetricsRequest), then dispatches.
@@ -88,7 +99,26 @@ class RuleTestService {
   /// destruction so error paths are measured too).
   class RequestScope;
 
+  /// A statement as the SQL frontend bound it, with its canonical SQL.
+  /// Immutable once cached, so concurrent requests share one: binding
+  /// allocates in the query's ColumnRegistry, and every later stage
+  /// (optimizer, correctness runner, executor) only reads it.
+  struct BoundStatement {
+    Query query;
+    std::string canonical_sql;
+  };
+
   explicit RuleTestService(std::unique_ptr<RuleTestFramework> framework);
+
+  /// The statement cache behind DoSql, keyed by the exact request text: a
+  /// hit returns the shared entry; a miss parses, binds and renders, and
+  /// caches the statement if it bound. Parse and bind errors are returned
+  /// and never cached. Bounded in entries by the plan cache's capacity and
+  /// in bytes by kStatementCacheBytes; an insert that would pass either
+  /// bound first empties the whole cache. Binding depends on the catalog
+  /// alone, so LoadRules leaves the cache as it is.
+  Result<std::shared_ptr<const BoundStatement>> BindStatement(
+      const std::string& sql);
 
   Status ValidateRuleIds(const std::vector<RuleId>& ids,
                          const char* field) const;
@@ -112,7 +142,7 @@ class RuleTestService {
 
   std::unique_ptr<RuleTestFramework> framework_;
   /// Shares the framework's catalog, interner and metrics; thread-safe, so
-  /// one resident frontend serves every SqlRequest.
+  /// one resident frontend serves every statement cache miss.
   std::unique_ptr<sql::SqlFrontend> frontend_;
   AdmissionGate gate_;
   /// Readers-writer lock over the resident rule registry: every request
@@ -121,9 +151,16 @@ class RuleTestService {
   /// exclusive while registering. Uncontended in the common case — rule
   /// loading is rare control-plane traffic.
   std::shared_mutex rules_mutex_;
+  /// Guards statements_ and statement_bytes_.
+  std::mutex statements_mutex_;
+  std::unordered_map<std::string, std::shared_ptr<const BoundStatement>>
+      statements_;
+  size_t statement_bytes_ = 0;
   obs::Counter* requests_ = nullptr;        // qtf.service.requests
   obs::Counter* request_errors_ = nullptr;  // qtf.service.request_errors
   obs::Counter* dsl_loaded_ = nullptr;      // qtf.dsl.loaded
+  obs::Counter* statement_hits_ = nullptr;    // qtf.sql.statement_cache.hits
+  obs::Counter* statement_misses_ = nullptr;  // qtf.sql.statement_cache.misses
   obs::Histogram* request_seconds_ = nullptr;
 };
 

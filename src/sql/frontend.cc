@@ -10,26 +10,37 @@ namespace qtf {
 namespace sql {
 namespace {
 
-void Bump(obs::MetricsRegistry* metrics, const char* name) {
-  if (metrics != nullptr) metrics->counter(name)->Increment();
+void Bump(obs::Counter* counter) {
+  if (counter != nullptr) counter->Increment();
 }
 
 }  // namespace
 
+SqlFrontend::SqlFrontend(const Catalog* catalog,
+                         const SqlFrontendOptions& options)
+    : catalog_(catalog), interner_(options.interner) {
+  QTF_CHECK(catalog_ != nullptr);
+  if (options.metrics != nullptr) {
+    parsed_ = options.metrics->counter("qtf.sql.parsed");
+    parse_errors_ = options.metrics->counter("qtf.sql.parse_errors");
+    bind_errors_ = options.metrics->counter("qtf.sql.bind_errors");
+  }
+}
+
 Result<Query> SqlFrontend::Parse(std::string_view input) const {
   auto parsed = ParseSql(input);
   if (!parsed.ok()) {
-    Bump(options_.metrics, "qtf.sql.parse_errors");
+    Bump(parse_errors_);
     return parsed.status();
   }
   BinderOptions binder_options;
-  binder_options.interner = options_.interner;
+  binder_options.interner = interner_;
   auto bound = BindSql(**parsed, *catalog_, binder_options);
   if (!bound.ok()) {
-    Bump(options_.metrics, "qtf.sql.bind_errors");
+    Bump(bind_errors_);
     return bound.status();
   }
-  Bump(options_.metrics, "qtf.sql.parsed");
+  Bump(parsed_);
   return std::move(bound).value();
 }
 

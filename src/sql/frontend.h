@@ -33,10 +33,7 @@ struct SqlFrontendOptions {
 /// thread-safe), so one frontend can serve concurrent service requests.
 class SqlFrontend {
  public:
-  SqlFrontend(const Catalog* catalog, const SqlFrontendOptions& options = {})
-      : catalog_(catalog), options_(options) {
-    QTF_CHECK(catalog_ != nullptr);
-  }
+  SqlFrontend(const Catalog* catalog, const SqlFrontendOptions& options = {});
   SqlFrontend(const SqlFrontend&) = delete;
   SqlFrontend& operator=(const SqlFrontend&) = delete;
 
@@ -46,7 +43,11 @@ class SqlFrontend {
 
  private:
   const Catalog* catalog_;
-  SqlFrontendOptions options_;
+  NodeInterner* interner_;
+  // Resolved once from SqlFrontendOptions::metrics; all null without it.
+  obs::Counter* parsed_ = nullptr;        // qtf.sql.parsed
+  obs::Counter* parse_errors_ = nullptr;  // qtf.sql.parse_errors
+  obs::Counter* bind_errors_ = nullptr;   // qtf.sql.bind_errors
 };
 
 }  // namespace sql

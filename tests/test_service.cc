@@ -418,6 +418,220 @@ TEST(ServiceLoadRulesTest, LoadRulesIsSafeUnderConcurrentTraffic) {
   EXPECT_EQ(service->framework()->rules().FindByName("Probe7") >= 0, true);
 }
 
+// --- Statement cache --------------------------------------------------------
+
+// The hand-written statement the CI serving job sends: unaliased columns,
+// so it is not canonical SQL and its canonical text differs from it.
+constexpr char kNationRegionSql[] =
+    "SELECT n_name, COUNT(*) AS cnt FROM nation INNER JOIN region ON "
+    "n_regionkey = r_regionkey GROUP BY n_name";
+
+int64_t CounterValue(service::RuleTestService& service, const char* name) {
+  return service.metrics()->counter(name)->Value();
+}
+
+/// The wire encoding of the service's answer, or the error it returned.
+std::string Answer(service::RuleTestService& service,
+                   const service::SqlRequest& request) {
+  auto response = service.Sql(request);
+  return response.ok() ? net::EncodeSqlResponse(*response)
+                       : "error: " + response.status().ToString();
+}
+
+/// The answer of a service that has not seen the statement before, so it
+/// parses, binds and renders it whatever its statement cache does.
+std::string FreshAnswer(const service::SqlRequest& request) {
+  auto fresh = MakeService();
+  std::string answer = Answer(*fresh, request);
+  EXPECT_EQ(answer.rfind("error: ", 0), std::string::npos) << answer;
+  return answer;
+}
+
+service::SqlRequest SqlIn(std::string sql, service::SqlMode mode,
+                          std::vector<RuleId> disabled_rules = {}) {
+  service::SqlRequest request;
+  request.sql = std::move(sql);
+  request.mode = mode;
+  request.disabled_rules = std::move(disabled_rules);
+  return request;
+}
+
+TEST(ServiceStatementCacheTest, RepeatedStatementGetsIdenticalBytes) {
+  const std::vector<service::SqlRequest> requests = {
+      SqlIn(kNationRegionSql, service::SqlMode::kParseOnly),
+      SqlIn(kNationRegionSql, service::SqlMode::kOptimize),
+      SqlIn(kNationRegionSql, service::SqlMode::kOptimize, {0, 6, 14}),
+      SqlIn(kNationRegionSql, service::SqlMode::kCorrectness),
+  };
+  auto service = MakeService();
+  const int64_t parsed = CounterValue(*service, "qtf.sql.parsed");
+  const int64_t hits =
+      CounterValue(*service, "qtf.sql.statement_cache.hits");
+  const int64_t misses =
+      CounterValue(*service, "qtf.sql.statement_cache.misses");
+  std::vector<std::string> first;
+  for (const service::SqlRequest& request : requests) {
+    first.push_back(Answer(*service, request));
+    ASSERT_EQ(first.back().rfind("error: ", 0), std::string::npos)
+        << first.back();
+  }
+  // One text: the first request binds it, the other three reuse it.
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.parsed"), parsed + 1);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.misses"),
+            misses + 1);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"),
+            hits + 3);
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(Answer(*service, requests[i]), first[i]) << "request " << i;
+    EXPECT_EQ(FreshAnswer(requests[i]), first[i]) << "request " << i;
+  }
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.parsed"), parsed + 1);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.misses"),
+            misses + 1);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"),
+            hits + 7);
+}
+
+TEST(ServiceStatementCacheTest, ParseAndBindErrorsRepeatAndAreNeverCached) {
+  auto service = MakeService();
+  const struct {
+    const char* sql;
+    const char* counter;
+  } cases[] = {
+      {"SELECT r_name FROM region WHERE", "qtf.sql.parse_errors"},
+      {"SELECT no_such_column FROM region", "qtf.sql.bind_errors"},
+  };
+  for (const auto& c : cases) {
+    const int64_t errors = CounterValue(*service, c.counter);
+    const int64_t hits =
+        CounterValue(*service, "qtf.sql.statement_cache.hits");
+    const int64_t misses =
+        CounterValue(*service, "qtf.sql.statement_cache.misses");
+    const service::SqlRequest request =
+        SqlIn(c.sql, service::SqlMode::kOptimize);
+    auto first = service->Sql(request);
+    ASSERT_FALSE(first.ok()) << c.sql;
+    EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+    for (int i = 0; i < 2; ++i) {
+      auto again = service->Sql(request);
+      ASSERT_FALSE(again.ok()) << c.sql;
+      EXPECT_EQ(again.status().ToString(), first.status().ToString());
+    }
+    // Every attempt parsed afresh: three misses, three errors, no hit.
+    EXPECT_EQ(CounterValue(*service, c.counter), errors + 3) << c.sql;
+    EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.misses"),
+              misses + 3);
+    EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"), hits);
+  }
+}
+
+TEST(ServiceStatementCacheTest, StatementOverTheByteBoundIsAnsweredNotCached) {
+  auto service = MakeService();
+  const std::string expected =
+      Answer(*service,
+             SqlIn("SELECT r_name FROM region", service::SqlMode::kOptimize));
+  ASSERT_EQ(expected.rfind("error: ", 0), std::string::npos) << expected;
+  // Comments do not reach the bound tree, so a padded statement answers
+  // exactly as the plain one.
+  const std::string large =
+      "SELECT r_name FROM region /* " +
+      std::string(service::RuleTestService::kStatementCacheBytes, 'x') +
+      " */";
+  const std::string small = "SELECT r_name FROM region /* padded */";
+  const int64_t parsed = CounterValue(*service, "qtf.sql.parsed");
+  const int64_t hits = CounterValue(*service, "qtf.sql.statement_cache.hits");
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(Answer(*service, SqlIn(large, service::SqlMode::kOptimize)),
+              expected);
+  }
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.parsed"), parsed + 2);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"), hits);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(Answer(*service, SqlIn(small, service::SqlMode::kOptimize)),
+              expected);
+  }
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.parsed"), parsed + 3);
+  EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"),
+            hits + 1);
+}
+
+TEST(ServiceStatementCacheTest, CacheEmptiesOncePastTheEntryBound) {
+  service::RuleTestService::Config config;
+  config.framework.plan_cache_capacity = 2;
+  auto service = service::RuleTestService::Create(std::move(config)).value();
+  std::vector<service::SqlRequest> statements;
+  std::vector<std::string> expected;
+  for (uint64_t seed : {21, 22, 23}) {
+    statements.push_back(SeededOptimize(*service, seed));
+    expected.push_back(FreshAnswer(statements.back()));
+  }
+  const int64_t hits = CounterValue(*service, "qtf.sql.statement_cache.hits");
+  const int64_t misses =
+      CounterValue(*service, "qtf.sql.statement_cache.misses");
+  // Two entries fit. Inserting the third text (2) empties the cache, so 0
+  // misses again, and inserting 1 empties it once more.
+  const struct {
+    int statement;
+    bool hit;
+  } steps[] = {{0, false}, {1, false}, {0, true}, {2, false},
+               {0, false}, {2, true},  {1, false}, {1, true}};
+  int64_t expected_hits = hits;
+  int64_t expected_misses = misses;
+  for (const auto& step : steps) {
+    const size_t statement = static_cast<size_t>(step.statement);
+    EXPECT_EQ(Answer(*service, statements[statement]), expected[statement])
+        << "statement " << step.statement;
+    (step.hit ? expected_hits : expected_misses) += 1;
+    EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.hits"),
+              expected_hits)
+        << "statement " << step.statement;
+    EXPECT_EQ(CounterValue(*service, "qtf.sql.statement_cache.misses"),
+              expected_misses)
+        << "statement " << step.statement;
+  }
+}
+
+TEST(ServiceStatementCacheTest, ConcurrentRequestsGetIdenticalBytes) {
+  auto service = MakeService(/*max_queue_depth=*/128, /*threads=*/2);
+  std::vector<service::SqlRequest> requests;
+  for (uint64_t seed : {31, 32, 33}) {
+    service::SqlRequest request = SeededOptimize(*service, seed);
+    requests.push_back(request);
+    request.mode = service::SqlMode::kParseOnly;
+    requests.push_back(request);
+  }
+  requests.push_back(SqlIn(kNationRegionSql, service::SqlMode::kOptimize));
+  std::vector<std::string> expected;
+  for (const service::SqlRequest& request : requests) {
+    expected.push_back(FreshAnswer(request));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < requests.size(); ++i) {
+          const size_t r = (i + static_cast<size_t>(t)) % requests.size();
+          if (Answer(*service, requests[r]) != expected[r]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Four distinct texts, each bound at most once per racing thread.
+  EXPECT_LE(CounterValue(*service, "qtf.sql.statement_cache.misses"),
+            4 * kThreads);
+  EXPECT_GE(CounterValue(*service, "qtf.sql.statement_cache.hits"),
+            static_cast<int64_t>(requests.size()) * kThreads * kRounds -
+                4 * kThreads);
+}
+
 // --- Serving over loopback ------------------------------------------------
 
 TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
