@@ -26,10 +26,10 @@ inline constexpr const char kExecutorNextBatch[] = "executor.next_batch";
 inline constexpr const char kPrefetchTask[] = "prefetch.task";
 }  // namespace fault_sites
 
-/// How callers retry kUnavailable errors: capped exponential backoff with
-/// deterministic jitter (FaultInjector::JitterFactor). Defaults are sized
-/// for the in-process framework — microseconds, not the seconds a network
-/// client would use — so chaos tests stay fast.
+/// Capped exponential backoff with deterministic jitter
+/// (FaultInjector::JitterFactor). RetryTransient always uses the defaults,
+/// which are sized for the in-process framework — microseconds, not the
+/// seconds a network client would use — so chaos tests stay fast.
 struct RetryPolicy {
   /// Total tries including the first; <= 1 disables retrying.
   int max_attempts = 3;
@@ -165,6 +165,39 @@ class FaultInjector {
   obs::Counter* latency_total_ = nullptr;
   obs::Counter* site_faults_[4] = {nullptr, nullptr, nullptr, nullptr};
 };
+
+/// The retry loop for transient failures. Calls `attempt(salt_of(i))` for
+/// i = 0, 1, ... up to RetryPolicy{}.max_attempts times and returns the
+/// first result that is OK or not transient, so kCancelled returns at once.
+/// `salt_of(i)` keys attempt i's fault decisions and its backoff jitter,
+/// which re-rolls the faults of each retry. Between tries it sleeps the
+/// jittered backoff and counts qtf.robustness.retries; a transient result
+/// on the last attempt counts qtf.robustness.retry_exhausted. A null
+/// `injector` means no jitter; a null `metrics` counts nothing.
+template <typename SaltFn, typename AttemptFn>
+auto RetryTransient(const FaultInjector* injector,
+                    obs::MetricsRegistry* metrics, SaltFn salt_of,
+                    AttemptFn attempt) -> decltype(attempt(uint64_t{0})) {
+  const RetryPolicy policy;
+  for (int i = 0;; ++i) {
+    const uint64_t salt = salt_of(i);
+    auto result = attempt(salt);
+    if (result.ok() || !IsTransient(result.status())) return result;
+    const bool last = i + 1 >= policy.max_attempts;
+    if (metrics != nullptr) {
+      metrics
+          ->counter(last ? "qtf.robustness.retry_exhausted"
+                         : "qtf.robustness.retries")
+          ->Increment();
+    }
+    if (last) return result;
+    SleepForBackoff(policy, i,
+                    injector != nullptr
+                        ? injector->JitterFactor(salt, i,
+                                                 policy.jitter_fraction)
+                        : 1.0);
+  }
+}
 
 }  // namespace qtf
 

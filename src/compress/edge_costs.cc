@@ -24,52 +24,32 @@ Result<double> EdgeCostProvider::EdgeCost(int target, int q) {
     options.disabled_rules.insert(id);
   }
 
-  FaultInjector* injector = optimizer_->fault_injector();
-  const RetryPolicy& policy = optimizer_->retry_policy();
-  const int max_attempts = policy.max_attempts > 0 ? policy.max_attempts : 1;
-  Result<double> outcome =
-      Status::Internal("edge cost retry loop made no attempt");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    // The salt decorrelates deterministic fault decisions per edge and per
-    // attempt: without it a rule-site fault would reproduce identically on
-    // every retry and retrying would be pointless.
-    const uint64_t salt = FaultInjector::EdgeKey(target, q, attempt);
-    options.fault_salt = salt;
-
-    Status attempt_status = Status::OK();
-    if (injector != nullptr && injector->enabled()) {
-      // The task infrastructure itself can fail before the search starts.
-      attempt_status = injector->Probe(fault_sites::kPrefetchTask, salt);
-    }
-    if (attempt_status.ok()) {
-      calls_.Increment();
-      if (metric_calls_ != nullptr) metric_calls_->Increment();
-      Result<OptimizeResult> result = optimizer_->Optimize(
-          suite_->queries[static_cast<size_t>(q)].query, options);
-      if (result.ok()) {
-        outcome = result->cost;
-        break;
-      }
-      attempt_status = result.status();
-    }
-    if (attempt_status.code() == StatusCode::kCancelled) {
-      // Cancellation is caller intent, not edge state: never memoized.
-      return attempt_status;
-    }
-    outcome = attempt_status;
-    if (!IsTransient(attempt_status)) break;
-    if (attempt + 1 >= max_attempts) {
-      if (metric_retry_exhausted_ != nullptr) {
-        metric_retry_exhausted_->Increment();
-      }
-      break;
-    }
-    if (metric_retries_ != nullptr) metric_retries_->Increment();
-    const double jitter =
-        injector != nullptr
-            ? injector->JitterFactor(salt, attempt, policy.jitter_fraction)
-            : 1.0;
-    SleepForBackoff(policy, attempt, jitter);
+  const FaultInjector* injector = optimizer_->fault_injector();
+  const Query& query = suite_->queries[static_cast<size_t>(q)].query;
+  // The salt decorrelates deterministic fault decisions per edge and per
+  // attempt: without it a rule-site fault would reproduce identically on
+  // every retry and retrying would be pointless.
+  Result<double> outcome = RetryTransient(
+      injector, optimizer_->metrics(),
+      [target, q](int attempt) {
+        return FaultInjector::EdgeKey(target, q, attempt);
+      },
+      [&](uint64_t salt) -> Result<double> {
+        if (injector != nullptr && injector->enabled()) {
+          // The task infrastructure itself can fail before the search
+          // starts.
+          QTF_RETURN_NOT_OK(injector->Probe(fault_sites::kPrefetchTask, salt));
+        }
+        calls_.Increment();
+        if (metric_calls_ != nullptr) metric_calls_->Increment();
+        options.fault_salt = salt;
+        QTF_ASSIGN_OR_RETURN(OptimizeResult result,
+                             optimizer_->Optimize(query, options));
+        return result.cost;
+      });
+  if (outcome.status().code() == StatusCode::kCancelled) {
+    // Cancellation is caller intent, not edge state: never memoized.
+    return outcome;
   }
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -52,8 +52,6 @@ class EdgeCostProvider {
     metric_cache_hits_ = metrics->counter("qtf.edge_cost.cache_hits");
     metric_prefetch_waves_ = metrics->counter("qtf.edge_cost.prefetch_waves");
     metric_prefetch_edges_ = metrics->counter("qtf.edge_cost.prefetch_edges");
-    metric_retries_ = metrics->counter("qtf.robustness.retries");
-    metric_retry_exhausted_ = metrics->counter("qtf.robustness.retry_exhausted");
   }
   virtual ~EdgeCostProvider() = default;
   EdgeCostProvider(const EdgeCostProvider&) = delete;
@@ -77,7 +75,6 @@ class EdgeCostProvider {
   void set_cancellation(CancellationToken cancel) {
     cancel_ = std::move(cancel);
   }
-  const CancellationToken& cancellation() const { return cancel_; }
 
   /// Cost(q, ¬target): optimizes q with the target's rules disabled.
   /// Cached per (target, query). Thread-safe for distinct keys; concurrent
@@ -85,9 +82,9 @@ class EdgeCostProvider {
   /// invocation (use Prefetch, which dedupes, for batches).
   ///
   /// Robustness: transient (kUnavailable) failures — injected at the
-  /// `prefetch.task` site or surfaced by the optimizer — are retried with
-  /// the optimizer's RetryPolicy (bounded exponential backoff, seeded
-  /// jitter). The final outcome, success or failure, is memoized, so
+  /// `prefetch.task` site or surfaced by the optimizer — are retried by
+  /// RetryTransient (bounded exponential backoff, seeded jitter). The
+  /// final outcome, success or failure, is memoized, so
   /// serial and parallel scans of the same edges observe identical
   /// optimizer_calls(); only kCancelled is never memoized.
   virtual Result<double> EdgeCost(int target, int q);
@@ -142,8 +139,6 @@ class EdgeCostProvider {
   obs::Counter* metric_cache_hits_ = nullptr;
   obs::Counter* metric_prefetch_waves_ = nullptr;
   obs::Counter* metric_prefetch_edges_ = nullptr;
-  obs::Counter* metric_retries_ = nullptr;  // qtf.robustness.retries
-  obs::Counter* metric_retry_exhausted_ = nullptr;
 };
 
 }  // namespace qtf

@@ -52,12 +52,6 @@ bool AggregateCallEquals(const AggregateCall& a, const AggregateCall& b) {
   return ExprEquals(*a.arg, *b.arg);
 }
 
-size_t AggregateCallHash(const AggregateCall& call) {
-  size_t h = static_cast<size_t>(call.kind) * 0x517cc1b727220a95ULL;
-  if (call.arg != nullptr) h ^= ExprHash(*call.arg);
-  return h;
-}
-
 uint64_t StableAggregateCallHash(const AggregateCall& call) {
   uint64_t h = Mix64(static_cast<uint64_t>(call.kind) + 0xa66);
   if (call.arg != nullptr) h = HashCombine(h, StableExprHash(*call.arg));

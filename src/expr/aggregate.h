@@ -32,12 +32,11 @@ struct AggregateCall {
   std::string ToString(const ColumnNameResolver* resolver) const;
 };
 
-/// Structural equality/hash for memo deduplication.
+/// Structural equality for memo deduplication.
 bool AggregateCallEquals(const AggregateCall& a, const AggregateCall& b);
-size_t AggregateCallHash(const AggregateCall& call);
 
-/// Platform-stable variant of AggregateCallHash (StableExprHash-based);
-/// feeds LogicalOp::LocalHash and TreeFingerprint.
+/// Platform-stable structural hash (StableExprHash-based); feeds
+/// LogicalOp::LocalHash and TreeFingerprint.
 uint64_t StableAggregateCallHash(const AggregateCall& call);
 
 }  // namespace qtf

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       service_config.framework.threads = static_cast<int>(n);
     } else if (arg == "--queue-depth") {
-      service_config.framework.max_queue_depth = static_cast<size_t>(n);
+      service_config.max_queue_depth = static_cast<size_t>(n);
     } else if (arg == "--plan-cache") {
       service_config.framework.plan_cache_capacity = static_cast<size_t>(n);
     } else if (arg == "--tpch-scale") {
@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
           static_cast<uint64_t>(n);
       service_config.framework.fault_injector.fault_probability = 0.05;
     } else if (arg == "--default-deadline") {
-      service_config.framework.default_deadline_seconds =
-          static_cast<double>(n);
+      service_config.default_deadline_seconds = static_cast<double>(n);
     } else {
       std::fprintf(stderr, "qtfd: unknown flag %s\n", arg.c_str());
       Usage(argv[0]);

@@ -59,7 +59,7 @@ ServiceServer::ServiceServer(service::RuleTestService* service,
   // Queue sized so every admitted request fits without Submit() ever
   // blocking a session reader: the admission gate bounds in-flight
   // requests at max_queue_depth before anything is enqueued.
-  const size_t queue_capacity = service_->limits().max_queue_depth +
+  const size_t queue_capacity = service_->admission()->max_depth() +
                                 static_cast<size_t>(config_.workers) + 8;
   pool_ = std::make_unique<ThreadPool>(config_.workers, queue_capacity);
   obs::MetricsRegistry* metrics = service_->metrics();

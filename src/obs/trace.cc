@@ -32,16 +32,6 @@ std::vector<TraceEvent> CollectingTraceSink::TakeEvents() {
   return out;
 }
 
-void StreamTraceSink::OnEvent(const TraceEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (event.kind == TraceEvent::Kind::kBegin) {
-    std::fprintf(stream_, "[trace] begin %s\n", event.phase.c_str());
-  } else {
-    std::fprintf(stream_, "[trace] end   %s (%.6fs)\n", event.phase.c_str(),
-                 event.seconds);
-  }
-}
-
 PhaseSpan::PhaseSpan(TraceSink* sink, const char* phase)
     : sink_(sink), phase_(phase) {
   if (sink_ == nullptr) return;

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -46,18 +45,6 @@ class CollectingTraceSink : public TraceSink {
  private:
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
-};
-
-/// Writes one line per event to a FILE* (default stderr). Handy for
-/// eyeballing where a long bench run spends its time.
-class StreamTraceSink : public TraceSink {
- public:
-  explicit StreamTraceSink(std::FILE* stream = stderr) : stream_(stream) {}
-  void OnEvent(const TraceEvent& event) override;
-
- private:
-  std::mutex mu_;
-  std::FILE* stream_;
 };
 
 /// RAII phase span: emits a begin event on construction and an end event

@@ -339,9 +339,8 @@ Optimizer::Optimizer(const RuleRegistry* rules, obs::MetricsRegistry* metrics)
   search_seconds_ = metrics_->histogram("qtf.optimizer.search_seconds");
   budget_exhausted_ = metrics_->counter("qtf.robustness.budget_exhausted");
   cancelled_ = metrics_->counter("qtf.robustness.cancelled");
-  owned_interner_ = std::make_unique<NodeInterner>();
-  owned_interner_->set_metrics(metrics_);
-  interner_ = owned_interner_.get();
+  interner_ = std::make_unique<NodeInterner>();
+  interner_->set_metrics(metrics_);
   SyncRuleMetrics();
 }
 

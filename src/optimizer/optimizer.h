@@ -114,12 +114,11 @@ class Optimizer {
   PlanCache* plan_cache() const { return plan_cache_; }
 
   /// Budget applied to every Optimize() whose options carry an unlimited
-  /// budget; default unlimited. Set from RuleTestFramework::Options::
-  /// default_budget.
+  /// budget; default unlimited. The chaos and budget tests set it to bound
+  /// the searches of a whole compression run.
   void set_default_budget(const SearchBudget& budget) {
     default_budget_ = budget;
   }
-  const SearchBudget& default_budget() const { return default_budget_; }
 
   /// Fault injector probed at the optimizer's named sites (plan_cache.get,
   /// optimizer.apply_rule). Borrowed, not owned; nullptr (the default)
@@ -131,13 +130,6 @@ class Optimizer {
   }
   FaultInjector* fault_injector() const { return fault_injector_; }
 
-  /// Retry policy components that hang off this optimizer use for
-  /// transient (kUnavailable) errors. The optimizer itself never retries —
-  /// a search is all-or-nothing — it only carries the policy, like
-  /// metrics(), so the framework has one place to configure it.
-  void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
-
   /// Number of Optimize() calls made so far — a view over the registry's
   /// `qtf.optimizer.invocations` counter. The monotonicity experiment
   /// (paper Section 5.3.1 / Figure 14) counts optimizer invocations saved.
@@ -148,19 +140,12 @@ class Optimizer {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Hash-consing interner every Optimize() canonicalizes its input tree
-  /// through before cache keying and search (never null; the optimizer
-  /// owns a default instance reporting qtf.interner.* into metrics()).
-  /// Canonicalization is purely structural, so results are identical with
-  /// any interner — sharing one across components just collapses
-  /// structurally-equal trees to pointer-shared nodes (see
-  /// docs/architecture.md).
-  NodeInterner* interner() const { return interner_; }
-
-  /// Replaces the interner used by Optimize(); nullptr restores the owned
-  /// default. Borrowed, must outlive the optimizer's use of it.
-  void set_interner(NodeInterner* interner) {
-    interner_ = interner != nullptr ? interner : owned_interner_.get();
-  }
+  /// through before cache keying and search (never null; owned by the
+  /// optimizer, reporting qtf.interner.* into metrics()). Canonicalization
+  /// is purely structural, so results are identical with any interner —
+  /// sharing this one across components just collapses structurally-equal
+  /// trees to pointer-shared nodes (see docs/architecture.md).
+  NodeInterner* interner() const { return interner_.get(); }
 
  private:
   const RuleRegistry* rules_;
@@ -168,12 +153,10 @@ class Optimizer {
   PlanCache* plan_cache_ = nullptr;
   SearchBudget default_budget_;
   FaultInjector* fault_injector_ = nullptr;
-  RetryPolicy retry_policy_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when none injected
   obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<NodeInterner> owned_interner_;
-  NodeInterner* interner_ = nullptr;
+  std::unique_ptr<NodeInterner> interner_;
   obs::Counter* invocations_ = nullptr;
   obs::Counter* searches_ = nullptr;   // invocations that ran a full search
   obs::Counter* saturated_ = nullptr;  // searches that hit the memo limit

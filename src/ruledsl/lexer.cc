@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/scanner.h"
+
 namespace qtf {
 namespace ruledsl {
 namespace {
@@ -20,131 +22,47 @@ constexpr Keyword kKeywords[] = {
     {"or", TokenKind::kOr},
 };
 
-bool IsIdentStart(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-}
-
-bool IsIdentChar(char c) { return IsIdentStart(c) || (c >= '0' && c <= '9'); }
-
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
 class Lexer {
  public:
-  explicit Lexer(std::string_view text) : text_(text) {}
+  explicit Lexer(std::string_view text) : scan_(text, "rule DSL") {}
 
   Result<std::vector<Token>> Run() {
-    std::vector<Token> tokens;
-    while (true) {
-      QTF_RETURN_NOT_OK(SkipSpaceAndComments());
-      Token token;
-      token.line = line_;
-      token.col = col_;
-      if (AtEnd()) {
-        token.kind = TokenKind::kEnd;
-        tokens.push_back(std::move(token));
-        return tokens;
-      }
-      QTF_RETURN_NOT_OK(Next(&token));
-      tokens.push_back(std::move(token));
-    }
+    return scan_.Tokenize<Token>([this](Token* token) { return Next(token); });
   }
 
  private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-
-  char Peek(size_t ahead = 0) const {
-    return pos_ + ahead < text_.size() ? text_[pos_ + ahead] : '\0';
-  }
-
-  char Advance() {
-    char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-
-  static Status Error(int line, int col, const std::string& message) {
-    return Status::InvalidArgument("rule DSL error at " +
-                                   std::to_string(line) + ":" +
-                                   std::to_string(col) + ": " + message);
-  }
-
-  Status SkipSpaceAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        Advance();
-      } else if (c == '-' && Peek(1) == '-') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else if (c == '/' && Peek(1) == '*') {
-        int open_line = line_;
-        int open_col = col_;
-        Advance();
-        Advance();
-        bool closed = false;
-        while (!AtEnd()) {
-          if (Peek() == '*' && Peek(1) == '/') {
-            Advance();
-            Advance();
-            closed = true;
-            break;
-          }
-          Advance();
-        }
-        if (!closed) {
-          return Error(open_line, open_col, "unterminated block comment");
-        }
-      } else {
-        break;
-      }
-    }
-    return Status::OK();
-  }
-
   Status Next(Token* token) {
-    char c = Peek();
-    if (IsIdentStart(c)) {
-      std::string word;
-      while (!AtEnd() && IsIdentChar(Peek())) word.push_back(Advance());
-      for (const Keyword& keyword : kKeywords) {
-        if (word == keyword.text) {
-          token->kind = keyword.kind;
-          token->text = std::move(word);
-          return Status::OK();
-        }
-      }
+    const char c = scan_.Peek();
+    if (Scanner::IsIdentStart(c)) {
       token->kind = TokenKind::kIdent;
-      token->text = std::move(word);
+      token->text = std::string(scan_.ScanIdent());
+      for (const Keyword& keyword : kKeywords) {
+        if (token->text == keyword.text) token->kind = keyword.kind;
+      }
       return Status::OK();
     }
     if (c == '$') {
-      Advance();
-      if (AtEnd() || !IsIdentStart(Peek())) {
-        return Error(token->line, token->col,
-                     "expected identifier after '$'");
+      scan_.Advance();
+      if (!Scanner::IsIdentStart(scan_.Peek())) {
+        return scan_.Error(token->line, token->col,
+                           "expected identifier after '$'");
       }
-      std::string word;
-      while (!AtEnd() && IsIdentChar(Peek())) word.push_back(Advance());
       token->kind = TokenKind::kPlaceholder;
-      token->text = std::move(word);
+      token->text = std::string(scan_.ScanIdent());
       return Status::OK();
     }
-    if (IsDigit(c)) {
+    if (Scanner::IsDigit(c)) {
       std::string digits;
-      while (!AtEnd() && IsDigit(Peek())) digits.push_back(Advance());
-      if (!AtEnd() && IsIdentStart(Peek())) {
-        return Error(token->line, token->col,
-                     "malformed integer literal '" + digits + "'");
+      while (Scanner::IsDigit(scan_.Peek())) digits.push_back(scan_.Advance());
+      if (Scanner::IsIdentStart(scan_.Peek())) {
+        return scan_.Error(token->line, token->col,
+                           "malformed integer literal '" + digits + "'");
       }
       // Length cap keeps std::stoll in range; the DSL has no use for
       // integers this large anyway.
       if (digits.size() > 18) {
-        return Error(token->line, token->col,
-                     "integer literal too large '" + digits + "'");
+        return scan_.Error(token->line, token->col,
+                           "integer literal too large '" + digits + "'");
       }
       token->kind = TokenKind::kIntLit;
       token->int_value = std::stoll(digits);
@@ -153,39 +71,32 @@ class Lexer {
     }
     switch (c) {
       case '{':
-        Advance();
         token->kind = TokenKind::kLBrace;
-        return Status::OK();
+        break;
       case '}':
-        Advance();
         token->kind = TokenKind::kRBrace;
-        return Status::OK();
+        break;
       case '(':
-        Advance();
         token->kind = TokenKind::kLParen;
-        return Status::OK();
+        break;
       case ')':
-        Advance();
         token->kind = TokenKind::kRParen;
-        return Status::OK();
+        break;
       case ',':
-        Advance();
         token->kind = TokenKind::kComma;
-        return Status::OK();
+        break;
       case ':':
-        Advance();
         token->kind = TokenKind::kColon;
-        return Status::OK();
+        break;
       default:
-        return Error(token->line, token->col,
-                     std::string("unexpected character '") + c + "'");
+        return scan_.Error(token->line, token->col,
+                           std::string("unexpected character '") + c + "'");
     }
+    scan_.Advance();
+    return Status::OK();
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
+  Scanner scan_;
 };
 
 }  // namespace

@@ -10,11 +10,12 @@
 namespace qtf {
 namespace ruledsl {
 
-/// Tokenizes .qtr rule DSL text. Never crashes on malformed input: every
-/// failure is kInvalidArgument carrying a 1-based "rule DSL error at
-/// line:col" position, mirroring the src/sql lexer conventions. `--` line
-/// comments and `/* */` block comments are skipped; an unterminated block
-/// comment reports the position where it was opened.
+/// Tokenizes .qtr rule DSL text. Keywords are case-sensitive. Never
+/// crashes on malformed input: every failure is kInvalidArgument carrying a
+/// 1-based "rule DSL error at line:col" position. Whitespace, `--` line
+/// comments and `/* */` block comments are skipped by the scanner the SQL
+/// lexer shares (common/scanner.h); an unterminated block comment reports
+/// the position where it was opened.
 Result<std::vector<Token>> LexRuleDsl(std::string_view text);
 
 }  // namespace ruledsl

@@ -36,4 +36,16 @@ std::map<ColumnId, ExprPtr> ComputedItemMap(const ProjectOp& project) {
   return out;
 }
 
+std::map<ColumnId, ExprPtr> UnionBranchMap(const UnionAllOp& u,
+                                           size_t branch) {
+  const LogicalOp& child = *u.child(branch);
+  std::vector<ColumnId> cols = child.OutputColumns();
+  LogicalProps props = BoundProps(child);
+  std::map<ColumnId, ExprPtr> out;
+  for (size_t i = 0; i < u.output_ids().size(); ++i) {
+    out[u.output_ids()[i]] = Col(cols[i], props.TypeOf(cols[i]));
+  }
+  return out;
+}
+
 }  // namespace qtf

@@ -28,6 +28,13 @@ void SplitPushable(const ExprPtr& predicate, const ColumnSet& allowed,
 /// (pass-through items are omitted — they are identity).
 std::map<ColumnId, ExprPtr> ComputedItemMap(const ProjectOp& project);
 
+/// Map from `u`'s output ids to the columns of its child `branch` (0 or 1)
+/// they come from, typed by that child's bound properties. Pairs them by
+/// position in the child's OutputColumns(), which is wrong once
+/// JoinCommutativity has reordered the child (ROADMAP item 3).
+std::map<ColumnId, ExprPtr> UnionBranchMap(const UnionAllOp& u,
+                                           size_t branch);
+
 }  // namespace qtf
 
 #endif  // QTF_RULES_RULE_UTIL_H_

@@ -73,19 +73,12 @@ class SelectPushBelowUnionAll final : public ExplorationRule {
              std::vector<LogicalOpPtr>* out) const override {
     const auto& select = static_cast<const SelectOp&>(bound);
     const auto& u = static_cast<const UnionAllOp&>(*select.child(0));
-    std::vector<ColumnId> lcols = u.child(0)->OutputColumns();
-    std::vector<ColumnId> rcols = u.child(1)->OutputColumns();
-    LogicalProps lprops = BoundProps(*u.child(0));
-    LogicalProps rprops = BoundProps(*u.child(1));
-    std::map<ColumnId, ExprPtr> to_left, to_right;
-    for (size_t i = 0; i < u.output_ids().size(); ++i) {
-      to_left[u.output_ids()[i]] = Col(lcols[i], lprops.TypeOf(lcols[i]));
-      to_right[u.output_ids()[i]] = Col(rcols[i], rprops.TypeOf(rcols[i]));
-    }
     LogicalOpPtr left = std::make_shared<SelectOp>(
-        u.child(0), SubstituteColumns(select.predicate(), to_left));
+        u.child(0),
+        SubstituteColumns(select.predicate(), UnionBranchMap(u, 0)));
     LogicalOpPtr right = std::make_shared<SelectOp>(
-        u.child(1), SubstituteColumns(select.predicate(), to_right));
+        u.child(1),
+        SubstituteColumns(select.predicate(), UnionBranchMap(u, 1)));
     out->push_back(std::make_shared<UnionAllOp>(std::move(left),
                                                 std::move(right),
                                                 u.output_ids()));

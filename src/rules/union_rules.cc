@@ -22,15 +22,8 @@ class ProjectPushBelowUnionAll final : public ExplorationRule {
              std::vector<LogicalOpPtr>* out) const override {
     const auto& project = static_cast<const ProjectOp&>(bound);
     const auto& u = static_cast<const UnionAllOp&>(*project.child(0));
-    std::vector<ColumnId> lcols = u.child(0)->OutputColumns();
-    std::vector<ColumnId> rcols = u.child(1)->OutputColumns();
-    LogicalProps lprops = BoundProps(*u.child(0));
-    LogicalProps rprops = BoundProps(*u.child(1));
-    std::map<ColumnId, ExprPtr> to_left, to_right;
-    for (size_t i = 0; i < u.output_ids().size(); ++i) {
-      to_left[u.output_ids()[i]] = Col(lcols[i], lprops.TypeOf(lcols[i]));
-      to_right[u.output_ids()[i]] = Col(rcols[i], rprops.TypeOf(rcols[i]));
-    }
+    const std::map<ColumnId, ExprPtr> to_left = UnionBranchMap(u, 0);
+    const std::map<ColumnId, ExprPtr> to_right = UnionBranchMap(u, 1);
 
     std::vector<ProjectItem> left_items, right_items;
     std::vector<ColumnId> new_output_ids;

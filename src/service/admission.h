@@ -21,7 +21,7 @@ namespace service {
 /// depth is exported as the qtf.service.queue_depth gauge.
 class AdmissionGate {
  public:
-  /// `max_depth` must be >= 1 (validated by RuleTestFramework::Options).
+  /// `max_depth` must be >= 1 (validated by RuleTestService::Create).
   /// `metrics` receives qtf.service.queue_depth / qtf.service.sheds; null
   /// disables reporting (tests exercising the bare gate).
   AdmissionGate(size_t max_depth, obs::MetricsRegistry* metrics)

@@ -12,19 +12,19 @@
 namespace qtf {
 namespace service {
 
-/// Per-request governance knobs, the request-side mirror of ServiceLimits:
-/// every field that is left at its "unset" default falls back to the
-/// service's configured limit. Transport-neutral — the same struct is
+/// Per-request governance knobs. Transport-neutral — the same struct is
 /// populated by in-process callers and decoded off the wire (where `cancel`
 /// does not travel: remote cancellation is closing the connection, local
 /// callers hand a real token).
 struct RequestOptions {
-  /// Per-optimization search budget; unlimited (all zero) falls back to
-  /// ServiceLimits::default_budget.
+  /// Search budget of the request's query-generation searches and of a
+  /// `Sql` request's optimize search; unlimited (all zero) by default.
+  /// Compression and correctness searches do not take it: the memo caps
+  /// bound them and `cancel` stops them.
   SearchBudget budget;
   /// Whole-request deadline, seconds from admission; <= 0 falls back to
-  /// ServiceLimits::default_deadline_seconds (0 there = none). Checked at
-  /// request phase boundaries — an expired deadline returns
+  /// RuleTestService::Config::default_deadline_seconds (0 there = none).
+  /// Checked at request phase boundaries — an expired deadline returns
   /// kDeadlineExceeded for the whole request.
   double deadline_seconds = 0.0;
   /// Checked by every phase of the request; a triggered token returns

@@ -60,22 +60,21 @@ void ReportCorrectness(const CorrectnessReport& report, Response* response) {
 
 }  // namespace
 
-/// Per-request governance state: the resolved deadline, the effective
+/// Per-request governance state: the resolved deadline, the request's
 /// search budget, the caller's cancellation token, and the latency
 /// observation (recorded on destruction, so shed-free error paths are
 /// measured like successes).
 class RuleTestService::RequestScope {
  public:
-  RequestScope(const RequestOptions& options, const ServiceLimits& limits,
+  RequestScope(const RequestOptions& options, double default_deadline_seconds,
                obs::Histogram* latency)
       : cancel_(options.cancel),
-        budget_(options.budget.unlimited() ? limits.default_budget
-                                           : options.budget),
+        budget_(options.budget),
         latency_(latency),
         start_(std::chrono::steady_clock::now()) {
     const double seconds = options.deadline_seconds > 0.0
                                ? options.deadline_seconds
-                               : limits.default_deadline_seconds;
+                               : default_deadline_seconds;
     if (seconds > 0.0) deadline_ = Deadline::After(seconds);
   }
 
@@ -127,9 +126,12 @@ class RuleTestService::RequestScope {
   std::chrono::steady_clock::time_point start_;
 };
 
-RuleTestService::RuleTestService(std::unique_ptr<RuleTestFramework> framework)
+RuleTestService::RuleTestService(std::unique_ptr<RuleTestFramework> framework,
+                                 size_t max_queue_depth,
+                                 double default_deadline_seconds)
     : framework_(std::move(framework)),
-      gate_(framework_->limits().max_queue_depth, framework_->metrics()) {
+      default_deadline_seconds_(default_deadline_seconds),
+      gate_(max_queue_depth, framework_->metrics()) {
   sql::SqlFrontendOptions frontend_options;
   frontend_options.interner = framework_->interner();
   frontend_options.metrics = framework_->metrics();
@@ -147,10 +149,21 @@ RuleTestService::RuleTestService(std::unique_ptr<RuleTestFramework> framework)
 
 Result<std::unique_ptr<RuleTestService>> RuleTestService::Create(
     Config config) {
+  if (config.max_queue_depth == 0) {
+    return Status::InvalidArgument(
+        "Config::max_queue_depth must be > 0 (a zero-depth admission "
+        "queue would shed every request)");
+  }
+  if (config.default_deadline_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "Config::default_deadline_seconds must be >= 0, got " +
+        std::to_string(config.default_deadline_seconds));
+  }
   QTF_ASSIGN_OR_RETURN(std::unique_ptr<RuleTestFramework> framework,
                        RuleTestFramework::Create(std::move(config.framework)));
   return std::unique_ptr<RuleTestService>(
-      new RuleTestService(std::move(framework)));
+      new RuleTestService(std::move(framework), config.max_queue_depth,
+                          config.default_deadline_seconds));
 }
 
 Status RuleTestService::ValidateRuleIds(const std::vector<RuleId>& ids,
@@ -221,7 +234,8 @@ Result<GenerateResponse> RuleTestService::DoGenerate(
         std::to_string(request.extra_ops));
   }
 
-  RequestScope scope(request.options, limits(), request_seconds_);
+  RequestScope scope(request.options, default_deadline_seconds_,
+                     request_seconds_);
   QTF_RETURN_NOT_OK(scope.Check("generation"));
   GenerationConfig config;
   config.method = request.method;
@@ -297,7 +311,8 @@ Status RuleTestService::BuildCompressedSuite(
 
 Result<CompressSuiteResponse> RuleTestService::DoCompressSuite(
     const CompressSuiteRequest& request) {
-  RequestScope scope(request.options, limits(), request_seconds_);
+  RequestScope scope(request.options, default_deadline_seconds_,
+                     request_seconds_);
   TestSuite suite;
   CompressionSolution solution;
   QTF_RETURN_NOT_OK(
@@ -317,7 +332,8 @@ Result<CompressSuiteResponse> RuleTestService::DoCompressSuite(
 
 Result<CorrectnessResponse> RuleTestService::DoRunCorrectness(
     const CorrectnessRequest& request) {
-  RequestScope scope(request.options, limits(), request_seconds_);
+  RequestScope scope(request.options, default_deadline_seconds_,
+                     request_seconds_);
   TestSuite suite;
   CompressionSolution solution;
   QTF_RETURN_NOT_OK(
@@ -344,7 +360,8 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
   QTF_RETURN_NOT_OK(
       ValidateRuleIds(request.disabled_rules, "SqlRequest::disabled_rules"));
 
-  RequestScope scope(request.options, limits(), request_seconds_);
+  RequestScope scope(request.options, default_deadline_seconds_,
+                     request_seconds_);
   QTF_RETURN_NOT_OK(scope.Check("sql parse"));
   QTF_ASSIGN_OR_RETURN(std::shared_ptr<const BoundStatement> statement,
                        BindStatement(request.sql));
@@ -438,7 +455,8 @@ Result<LoadRulesResponse> RuleTestService::DoLoadRules(
   if (request.text.empty()) {
     return Status::InvalidArgument("LoadRulesRequest::text is empty");
   }
-  RequestScope scope(request.options, limits(), request_seconds_);
+  RequestScope scope(request.options, default_deadline_seconds_,
+                     request_seconds_);
   QTF_RETURN_NOT_OK(scope.Check("rule compilation"));
   ruledsl::CompileOptions compile_options;
   compile_options.metrics = framework_->metrics();

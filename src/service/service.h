@@ -34,19 +34,31 @@ namespace service {
 class RuleTestService {
  public:
   struct Config {
-    /// The resident framework's configuration. Its ServiceLimits base
-    /// doubles as this service's per-request admission control: default
-    /// budget, default deadline, retry policy, max_queue_depth.
+    /// The resident framework's configuration.
     RuleTestFramework::Options framework;
+    /// Admission bound: the maximum number of requests accepted but
+    /// unfinished at once. Requests beyond it are shed immediately with
+    /// kResourceExhausted, never queued indefinitely (see docs/serving.md).
+    /// Enforced for every transport through admission().
+    size_t max_queue_depth = 128;
+    /// Whole-request deadline for requests that carry none; <= 0 (the
+    /// default) means none. Checked between request phases (suite
+    /// generation, compression, correctness execution), so an expired
+    /// deadline surfaces as kDeadlineExceeded at the next phase boundary
+    /// rather than mid-search.
+    double default_deadline_seconds = 0.0;
   };
 
-  /// Validates the configuration (see RuleTestFramework::Create) and builds
-  /// the resident framework.
+  /// Validates the configuration and builds the resident framework: a zero
+  /// `max_queue_depth`, a negative `default_deadline_seconds` or an option
+  /// RuleTestFramework::Create rejects returns kInvalidArgument naming the
+  /// field.
   static Result<std::unique_ptr<RuleTestService>> Create(Config config);
 
   /// Typed entry points. Each admits through the gate (shedding with
   /// kResourceExhausted when max_queue_depth requests are in flight),
-  /// resolves budget/deadline fallbacks from limits(), and executes.
+  /// applies the default deadline to a request that carries none, and
+  /// executes.
   Result<GenerateResponse> Generate(const GenerateRequest& request);
   Result<CompressSuiteResponse> CompressSuite(
       const CompressSuiteRequest& request);
@@ -88,13 +100,12 @@ class RuleTestService {
 
   /// The admission gate transports shed through before queueing work.
   AdmissionGate* admission() { return &gate_; }
-  const ServiceLimits& limits() const { return framework_->limits(); }
   /// The resident framework (shared caches, metrics registry, rules).
   RuleTestFramework* framework() { return framework_.get(); }
   obs::MetricsRegistry* metrics() { return framework_->metrics(); }
 
  private:
-  /// Deadline/budget/cancel resolution for one admitted request, plus its
+  /// Deadline, budget and cancellation of one admitted request, plus its
   /// latency observation (qtf.service.request_seconds, counted on scope
   /// destruction so error paths are measured too).
   class RequestScope;
@@ -108,7 +119,8 @@ class RuleTestService {
     std::string canonical_sql;
   };
 
-  explicit RuleTestService(std::unique_ptr<RuleTestFramework> framework);
+  RuleTestService(std::unique_ptr<RuleTestFramework> framework,
+                  size_t max_queue_depth, double default_deadline_seconds);
 
   /// The statement cache behind DoSql, keyed by the exact request text: a
   /// hit returns the shared entry; a miss parses, binds and renders, and
@@ -141,6 +153,7 @@ class RuleTestService {
   Result<MetricsResponse> DoMetrics(const MetricsRequest& request);
 
   std::unique_ptr<RuleTestFramework> framework_;
+  const double default_deadline_seconds_;
   /// Shares the framework's catalog, interner and metrics; thread-safe, so
   /// one resident frontend serves every statement cache miss.
   std::unique_ptr<sql::SqlFrontend> frontend_;

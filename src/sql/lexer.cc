@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "common/scanner.h"
+
 namespace qtf {
 namespace sql {
 namespace {
@@ -30,14 +32,6 @@ constexpr Keyword kKeywords[] = {
     {"ON", TokenKind::kOn},
 };
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
-
 std::string ToUpper(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -48,87 +42,23 @@ std::string ToUpper(std::string_view s) {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view input) : input_(input) {}
+  explicit Lexer(std::string_view input) : scan_(input, "SQL lex") {}
 
   Result<std::vector<Token>> Run() {
-    std::vector<Token> tokens;
-    while (true) {
-      QTF_RETURN_NOT_OK(SkipSpaceAndComments());
-      Token token;
-      token.line = line_;
-      token.col = col_;
-      if (AtEnd()) {
-        token.kind = TokenKind::kEnd;
-        tokens.push_back(std::move(token));
-        return tokens;
-      }
-      QTF_RETURN_NOT_OK(Next(&token));
-      tokens.push_back(std::move(token));
-    }
+    return scan_.Tokenize<Token>([this](Token* token) { return Next(token); });
   }
 
  private:
-  bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek(size_t ahead = 0) const {
-    return pos_ + ahead < input_.size() ? input_[pos_ + ahead] : '\0';
-  }
-  char Advance() {
-    char c = input_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-
-  Status Error(int line, int col, const std::string& message) const {
-    return Status::InvalidArgument("SQL lex error at " + std::to_string(line) +
-                                   ":" + std::to_string(col) + ": " + message);
-  }
-
-  Status SkipSpaceAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '-' && Peek(1) == '-') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else if (c == '/' && Peek(1) == '*') {
-        const int line = line_, col = col_;
-        Advance();
-        Advance();
-        bool closed = false;
-        while (!AtEnd()) {
-          if (Peek() == '*' && Peek(1) == '/') {
-            Advance();
-            Advance();
-            closed = true;
-            break;
-          }
-          Advance();
-        }
-        if (!closed) return Error(line, col, "unterminated block comment");
-      } else {
-        break;
-      }
-    }
-    return Status::OK();
-  }
-
   Status Next(Token* token) {
-    const char c = Peek();
-    if (IsIdentStart(c)) return LexIdent(token);
-    if (IsDigit(c)) return LexNumber(token);
+    const char c = scan_.Peek();
+    if (Scanner::IsIdentStart(c)) return LexIdent(token);
+    if (Scanner::IsDigit(c)) return LexNumber(token);
     if (c == '\'') return LexString(token);
     return LexOperator(token);
   }
 
   Status LexIdent(Token* token) {
-    const size_t start = pos_;
-    while (!AtEnd() && IsIdentChar(Peek())) Advance();
-    std::string_view spelling = input_.substr(start, pos_ - start);
+    std::string_view spelling = scan_.ScanIdent();
     const std::string upper = ToUpper(spelling);
     for (const Keyword& kw : kKeywords) {
       if (upper == kw.spelling) {
@@ -142,56 +72,60 @@ class Lexer {
     return Status::OK();
   }
 
+  void ScanDigits(std::string* text) {
+    while (Scanner::IsDigit(scan_.Peek())) text->push_back(scan_.Advance());
+  }
+
   Status LexNumber(Token* token) {
-    const size_t start = pos_;
-    while (!AtEnd() && IsDigit(Peek())) Advance();
+    std::string text;
+    ScanDigits(&text);
     bool is_double = false;
-    if (Peek() == '.' && IsDigit(Peek(1))) {
+    if (scan_.Peek() == '.' && Scanner::IsDigit(scan_.Peek(1))) {
       is_double = true;
-      Advance();
-      while (!AtEnd() && IsDigit(Peek())) Advance();
+      text.push_back(scan_.Advance());
+      ScanDigits(&text);
     }
-    if (Peek() == 'e' || Peek() == 'E') {
+    if (scan_.Peek() == 'e' || scan_.Peek() == 'E') {
       size_t ahead = 1;
-      if (Peek(1) == '+' || Peek(1) == '-') ahead = 2;
-      if (IsDigit(Peek(ahead))) {
+      if (scan_.Peek(1) == '+' || scan_.Peek(1) == '-') ahead = 2;
+      if (Scanner::IsDigit(scan_.Peek(ahead))) {
         is_double = true;
-        while (ahead-- > 0) Advance();
-        while (!AtEnd() && IsDigit(Peek())) Advance();
+        while (ahead-- > 0) text.push_back(scan_.Advance());
+        ScanDigits(&text);
       }
     }
-    const std::string text(input_.substr(start, pos_ - start));
     errno = 0;
     if (is_double) {
       token->kind = TokenKind::kDoubleLit;
       token->double_value = std::strtod(text.c_str(), nullptr);
       if (errno == ERANGE) {
-        return Error(token->line, token->col,
-                     "double literal out of range: " + text);
+        return scan_.Error(token->line, token->col,
+                           "double literal out of range: " + text);
       }
     } else {
       token->kind = TokenKind::kIntLit;
       token->int_value = std::strtoll(text.c_str(), nullptr, 10);
       if (errno == ERANGE) {
-        return Error(token->line, token->col,
-                     "integer literal out of range: " + text);
+        return scan_.Error(token->line, token->col,
+                           "integer literal out of range: " + text);
       }
     }
     return Status::OK();
   }
 
   Status LexString(Token* token) {
-    Advance();  // opening quote
+    scan_.Advance();  // opening quote
     std::string value;
     while (true) {
-      if (AtEnd()) {
-        return Error(token->line, token->col, "unterminated string literal");
+      if (scan_.AtEnd()) {
+        return scan_.Error(token->line, token->col,
+                           "unterminated string literal");
       }
-      char c = Advance();
+      char c = scan_.Advance();
       if (c == '\'') {
-        if (Peek() == '\'') {
+        if (scan_.Peek() == '\'') {
           value.push_back('\'');
-          Advance();
+          scan_.Advance();
         } else {
           break;
         }
@@ -205,7 +139,7 @@ class Lexer {
   }
 
   Status LexOperator(Token* token) {
-    const char c = Advance();
+    const char c = scan_.Advance();
     switch (c) {
       case '(': token->kind = TokenKind::kLParen; return Status::OK();
       case ')': token->kind = TokenKind::kRParen; return Status::OK();
@@ -217,41 +151,38 @@ class Lexer {
       case '/': token->kind = TokenKind::kSlash; return Status::OK();
       case '=': token->kind = TokenKind::kEq; return Status::OK();
       case '<':
-        if (Peek() == '>') {
-          Advance();
+        if (scan_.Peek() == '>') {
+          scan_.Advance();
           token->kind = TokenKind::kNe;
-        } else if (Peek() == '=') {
-          Advance();
+        } else if (scan_.Peek() == '=') {
+          scan_.Advance();
           token->kind = TokenKind::kLe;
         } else {
           token->kind = TokenKind::kLt;
         }
         return Status::OK();
       case '>':
-        if (Peek() == '=') {
-          Advance();
+        if (scan_.Peek() == '=') {
+          scan_.Advance();
           token->kind = TokenKind::kGe;
         } else {
           token->kind = TokenKind::kGt;
         }
         return Status::OK();
       case '!':
-        if (Peek() == '=') {
-          Advance();
+        if (scan_.Peek() == '=') {
+          scan_.Advance();
           token->kind = TokenKind::kNe;
           return Status::OK();
         }
-        return Error(token->line, token->col, "stray '!'");
+        return scan_.Error(token->line, token->col, "stray '!'");
       default:
-        return Error(token->line, token->col,
-                     std::string("unexpected character '") + c + "'");
+        return scan_.Error(token->line, token->col,
+                           std::string("unexpected character '") + c + "'");
     }
   }
 
-  std::string_view input_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
+  Scanner scan_;
 };
 
 }  // namespace

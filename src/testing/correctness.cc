@@ -22,53 +22,32 @@ Result<OptimizeResult> CorrectnessRunner::OptimizeWithRetry(
     const Query& query, OptimizerOptions options, uint64_t salt_base,
     const CancellationToken& cancel) {
   options.cancel = cancel;
-  FaultInjector* injector = optimizer_->fault_injector();
-  const RetryPolicy& policy = optimizer_->retry_policy();
-  const int max_attempts = policy.max_attempts > 0 ? policy.max_attempts : 1;
-  Result<OptimizeResult> result =
-      Status::Internal("optimize retry loop made no attempt");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    options.fault_salt = AttemptSalt(salt_base, attempt);
-    result = optimizer_->Optimize(query, options);
-    if (result.ok() || !IsTransient(result.status())) return result;
-    if (attempt + 1 >= max_attempts) break;
-    const double jitter =
-        injector != nullptr
-            ? injector->JitterFactor(options.fault_salt, attempt,
-                                     policy.jitter_fraction)
-            : 1.0;
-    SleepForBackoff(policy, attempt, jitter);
-  }
-  return result;
+  return RetryTransient(
+      optimizer_->fault_injector(), optimizer_->metrics(),
+      [salt_base](int attempt) { return AttemptSalt(salt_base, attempt); },
+      [&](uint64_t salt) {
+        options.fault_salt = salt;
+        return optimizer_->Optimize(query, options);
+      });
 }
 
 Result<ResultSet> CorrectnessRunner::ExecuteWithRetry(
     const Query& query, const PhysicalOp& plan, uint64_t salt_base,
     const CancellationToken& cancel) {
   const FaultInjector* injector = optimizer_->fault_injector();
-  const RetryPolicy& policy = optimizer_->retry_policy();
-  const int max_attempts = policy.max_attempts > 0 ? policy.max_attempts : 1;
-  Result<ResultSet> result =
-      Status::Internal("execute retry loop made no attempt");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (cancel.cancelled()) {
-      return Status::Cancelled("correctness run cancelled");
-    }
-    const uint64_t salt = AttemptSalt(salt_base, attempt);
-    Executor executor(db_, query.registry.get());
-    executor.set_program_cache(&program_cache_);
-    executor.set_metrics(optimizer_->metrics());
-    if (injector != nullptr) executor.set_fault_injection(injector, salt);
-    result = executor.Execute(plan);
-    if (result.ok() || !IsTransient(result.status())) return result;
-    if (attempt + 1 >= max_attempts) break;
-    const double jitter =
-        injector != nullptr
-            ? injector->JitterFactor(salt, attempt, policy.jitter_fraction)
-            : 1.0;
-    SleepForBackoff(policy, attempt, jitter);
-  }
-  return result;
+  return RetryTransient(
+      injector, optimizer_->metrics(),
+      [salt_base](int attempt) { return AttemptSalt(salt_base, attempt); },
+      [&](uint64_t salt) -> Result<ResultSet> {
+        if (cancel.cancelled()) {
+          return Status::Cancelled("correctness run cancelled");
+        }
+        Executor executor(db_, query.registry.get());
+        executor.set_program_cache(&program_cache_);
+        executor.set_metrics(optimizer_->metrics());
+        if (injector != nullptr) executor.set_fault_injection(injector, salt);
+        return executor.Execute(plan);
+      });
 }
 
 Result<CorrectnessReport> CorrectnessRunner::Run(

@@ -63,38 +63,24 @@ class CorrectnessRunner {
                                metrics->counter("qtf.exec.eval_cache_misses"));
   }
 
-  /// Cancellation token checked between validations and passed into every
-  /// optimization; a triggered token makes Run return kCancelled. This is
-  /// the instance-wide default — concurrent callers that each need their
-  /// own token (one runner serving many requests, see docs/serving.md)
-  /// should pass it to the three-argument Run instead of racing on this
-  /// setter.
-  void set_cancellation(CancellationToken cancel) {
-    cancel_ = std::move(cancel);
-  }
-
   /// Validates `assignment` (per target: query indices into the suite).
   /// Pass a CompressionSolution's assignment, or suite.per_target for the
-  /// BASELINE mapping.
+  /// BASELINE mapping. `cancel` is checked between validations and passed
+  /// into every optimization; a triggered token makes Run return
+  /// kCancelled.
   ///
   /// Robustness: transient (kUnavailable) optimization/execution failures
-  /// are retried per the optimizer's RetryPolicy with attempt-salted fault
-  /// decisions; a validation that stays unavailable is skipped and counted
+  /// are retried by RetryTransient with attempt-salted fault decisions; a
+  /// validation that stays unavailable is skipped and counted
   /// (CorrectnessReport::skipped_unavailable) rather than failing the run.
-  Result<CorrectnessReport> Run(
-      const TestSuite& suite,
-      const std::vector<std::vector<int>>& assignment) {
-    return Run(suite, assignment, cancel_);
-  }
-
-  /// As above with an explicit per-call cancellation token. Re-entrant:
-  /// all mutable state is per-call (the shared EvalProgramCache and the
-  /// metrics counters are thread-safe), so one resident runner can serve
-  /// concurrent requests, each cancellable independently.
+  ///
+  /// Re-entrant: all mutable state is per-call (the shared EvalProgramCache
+  /// and the metrics counters are thread-safe), so one resident runner can
+  /// serve concurrent requests, each cancellable by its own token.
   Result<CorrectnessReport> Run(
       const TestSuite& suite,
       const std::vector<std::vector<int>>& assignment,
-      CancellationToken cancel);
+      CancellationToken cancel = {});
 
  private:
   /// Optimize with transient-failure retries; `salt_base` keys the fault
@@ -112,7 +98,6 @@ class CorrectnessRunner {
 
   const Database* db_;
   Optimizer* optimizer_;
-  CancellationToken cancel_;
   /// Shared across every per-attempt Executor (serial and parallel runs):
   /// Plan(q) and Plan(q, ¬target) overwhelmingly reuse the same predicate
   /// and projection expressions, so compiled EvalPrograms are built once.

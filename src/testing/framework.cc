@@ -19,27 +19,6 @@ Status ValidateOptions(const RuleTestFramework::Options& options) {
         "Options::plan_cache_capacity must be > 0 (a zero-capacity cache "
         "caches nothing; omit the field for the default)");
   }
-  if (options.max_queue_depth == 0) {
-    return Status::InvalidArgument(
-        "Options::max_queue_depth must be > 0 (a zero-depth admission "
-        "queue would shed every request)");
-  }
-  if (options.default_deadline_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "Options::default_deadline_seconds must be >= 0, got " +
-        std::to_string(options.default_deadline_seconds));
-  }
-  if (options.default_budget.wall_seconds < 0.0 ||
-      options.default_budget.max_memo_groups < 0 ||
-      options.default_budget.max_memo_exprs < 0) {
-    return Status::InvalidArgument(
-        "Options::default_budget dimensions must be >= 0 (0 = unlimited)");
-  }
-  if (options.retry_policy.max_attempts < 1) {
-    return Status::InvalidArgument(
-        "Options::retry_policy.max_attempts must be >= 1, got " +
-        std::to_string(options.retry_policy.max_attempts));
-  }
   if (options.fault_injector.fault_probability < 0.0 ||
       options.fault_injector.fault_probability > 1.0) {
     return Status::InvalidArgument(
@@ -61,7 +40,6 @@ Result<std::unique_ptr<RuleTestFramework>> RuleTestFramework::Create(
   QTF_RETURN_NOT_OK(ValidateOptions(options));
   auto framework =
       std::unique_ptr<RuleTestFramework>(new RuleTestFramework());
-  framework->limits_ = options;
   framework->metrics_.set_trace_sink(options.trace_sink);
   if (options.fault_injector.seed != 0) {
     framework->fault_injector_ =
@@ -74,8 +52,6 @@ Result<std::unique_ptr<RuleTestFramework>> RuleTestFramework::Create(
                              : MakeDefaultRuleRegistry();
   framework->optimizer_ = std::make_unique<Optimizer>(
       framework->registry_.get(), &framework->metrics_);
-  framework->optimizer_->set_default_budget(options.default_budget);
-  framework->optimizer_->set_retry_policy(options.retry_policy);
   framework->optimizer_->set_fault_injector(framework->fault_injector_.get());
   framework->plan_cache_ =
       std::make_unique<PlanCache>(options.plan_cache_capacity);

@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "common/limits.h"
+#include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "compress/compression.h"
 #include "compress/matching.h"
@@ -26,16 +26,9 @@ namespace qtf {
 class RuleTestFramework {
  public:
   /// Everything configurable about a framework instance, in one place.
-  /// Replaces the old positional Create() arguments and the
-  /// QTF_BENCH_THREADS environment variable.
-  ///
-  /// The resource-governance fields (default_budget, retry_policy, plus the
-  /// serving layer's deadline and admission knobs) live in the ServiceLimits
-  /// base so RuleTestService reuses them verbatim for per-request admission
-  /// control; inheriting keeps the historical member names
-  /// (`options.default_budget = ...`) valid. Extract the slice with
-  /// `ServiceLimits limits = options;`.
-  struct Options : ServiceLimits {
+  /// The serving layer's admission bound and default deadline live in
+  /// RuleTestService::Config, the only code that reads them.
+  struct Options {
     /// Scale of the TPC-H-style test database.
     TpchConfig tpch;
     /// Rule registry; null means MakeDefaultRuleRegistry() (pass a custom
@@ -59,16 +52,10 @@ class RuleTestFramework {
 
   /// Builds the framework as configured, after validating the options:
   /// nonsensical values (non-positive `threads`, zero
-  /// `plan_cache_capacity`, zero `max_queue_depth`, a negative deadline or
-  /// an out-of-range fault probability) return kInvalidArgument naming the
-  /// offending field instead of being accepted silently. (The legacy
-  /// positional Create(TpchConfig, registry) overload was removed after its
-  /// PR-3 deprecation window; populate Options instead.)
+  /// `plan_cache_capacity`, an out-of-range fault probability or a
+  /// non-positive TPC-H scale) return kInvalidArgument naming the offending
+  /// field instead of being accepted silently.
   static Result<std::unique_ptr<RuleTestFramework>> Create(Options options);
-
-  /// The ServiceLimits slice this framework was created with (what the
-  /// serving layer enforces per request; see docs/serving.md).
-  const ServiceLimits& limits() const { return limits_; }
 
   const Database& db() const { return *db_; }
   const Catalog& catalog() const { return db_->catalog(); }
@@ -124,7 +111,6 @@ class RuleTestFramework {
   // metrics_ is declared first (destroyed last): every component below
   // holds pointers into it.
   obs::MetricsRegistry metrics_;
-  ServiceLimits limits_;
   // fault_injector_ before optimizer_: the optimizer (and everything built
   // on it) borrows the injector.
   std::unique_ptr<FaultInjector> fault_injector_;

@@ -362,8 +362,7 @@ TEST(CancellationTest, OneTokenStopsEveryLayer) {
   ASSERT_FALSE(compressed.ok());
   EXPECT_EQ(compressed.status().code(), StatusCode::kCancelled);
 
-  fw->runner()->set_cancellation(source.token());
-  auto report = fw->runner()->Run(suite, suite.per_target);
+  auto report = fw->runner()->Run(suite, suite.per_target, source.token());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
 }
@@ -389,6 +388,9 @@ TEST(ChaosCorrectnessTest, InjectedFaultsNeverBecomeViolations) {
 
   obs::MetricsSnapshot snapshot = fw->metrics()->Snapshot();
   EXPECT_GT(snapshot.CounterValue("qtf.robustness.faults_injected"), 0);
+  // The suite was built with injection off, so these are the runner's own
+  // retries.
+  EXPECT_GT(snapshot.CounterValue("qtf.robustness.retries"), 0);
   EXPECT_EQ(snapshot.CounterValue("qtf.robustness.skipped_validations"),
             report->skipped_unavailable);
 }

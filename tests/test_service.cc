@@ -33,7 +33,7 @@ namespace {
 std::unique_ptr<service::RuleTestService> MakeService(
     size_t max_queue_depth = 128, int threads = 1) {
   service::RuleTestService::Config config;
-  config.framework.max_queue_depth = max_queue_depth;
+  config.max_queue_depth = max_queue_depth;
   config.framework.threads = threads;
   return service::RuleTestService::Create(std::move(config)).value();
 }
@@ -72,7 +72,7 @@ TEST(ServiceOptionsTest, CreateRejectsInvalidOptionsNamingTheField) {
   }
   {
     service::RuleTestService::Config config;
-    config.framework.max_queue_depth = 0;
+    config.max_queue_depth = 0;
     auto result = service::RuleTestService::Create(std::move(config));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -81,7 +81,7 @@ TEST(ServiceOptionsTest, CreateRejectsInvalidOptionsNamingTheField) {
   }
   {
     service::RuleTestService::Config config;
-    config.framework.default_deadline_seconds = -1.0;
+    config.default_deadline_seconds = -1.0;
     auto result = service::RuleTestService::Create(std::move(config));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
