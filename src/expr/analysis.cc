@@ -51,13 +51,32 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr) {
   return out;
 }
 
+namespace {
+
+/// The canonical conjunct order: by ExprHash, ties broken by rendering.
+bool ConjunctBefore(size_t a_hash, const Expr& a, size_t b_hash,
+                    const Expr& b) {
+  if (a_hash != b_hash) return a_hash < b_hash;
+  return a.ToString(nullptr) < b.ToString(nullptr);
+}
+
+}  // namespace
+
 ExprPtr MakeConjunction(std::vector<ExprPtr> conjuncts) {
   if (conjuncts.empty()) return nullptr;
   if (conjuncts.size() == 1) return conjuncts[0];
   // Canonical order: different rule-derivation paths that assemble the same
   // conjunct set must produce structurally identical predicates, or memo
-  // deduplication breaks down and the search space explodes. Each conjunct
-  // is hashed once, not at every comparison.
+  // deduplication breaks down and the search space explodes.
+  if (conjuncts.size() == 2) {
+    // The most common case: one comparison, swapping only a pair that is
+    // strictly out of order, as the sort below does.
+    ExprPtr& a = conjuncts[0];
+    ExprPtr& b = conjuncts[1];
+    if (ConjunctBefore(ExprHash(*b), *b, ExprHash(*a), *a)) std::swap(a, b);
+    return And(std::move(a), std::move(b));
+  }
+  // Each conjunct is hashed once, not at every comparison.
   std::vector<std::pair<size_t, ExprPtr>> keyed;
   keyed.reserve(conjuncts.size());
   for (ExprPtr& conjunct : conjuncts) {
@@ -67,8 +86,7 @@ ExprPtr MakeConjunction(std::vector<ExprPtr> conjuncts) {
   std::sort(keyed.begin(), keyed.end(),
             [](const std::pair<size_t, ExprPtr>& a,
                const std::pair<size_t, ExprPtr>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second->ToString(nullptr) < b.second->ToString(nullptr);
+              return ConjunctBefore(a.first, *a.second, b.first, *b.second);
             });
   ExprPtr result = keyed[0].second;
   for (size_t i = 1; i < keyed.size(); ++i) {

@@ -13,9 +13,12 @@
 #include <csignal>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "net/server.h"
@@ -36,10 +39,28 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseLong(const char* s, long* out) {
+/// Parses a whole unsigned decimal number no larger than `max`. Signs,
+/// blanks and empty text are refused, so "-1" never wraps to a huge count.
+bool ParseCount(const char* s, unsigned long long max,
+                unsigned long long* out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
   char* end = nullptr;
-  *out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0';
+  const unsigned long long n = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0' || n > max) return false;
+  *out = n;
+  return true;
+}
+
+/// Parses seconds, fractions allowed: finite and not negative.
+bool ParseSeconds(const char* s, double* out) {
+  char* end = nullptr;
+  const double seconds = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(seconds) || seconds < 0.0) {
+    return false;
+  }
+  *out = seconds;
+  return true;
 }
 
 }  // namespace
@@ -49,42 +70,53 @@ int main(int argc, char** argv) {
   server_config.port = 7433;
   qtf::service::RuleTestService::Config service_config;
 
+  // Counts stay within int, which also keeps the server's queue capacity
+  // (queue depth + workers + 8) from wrapping.
+  constexpr unsigned long long kMaxCount = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const char* value = (i + 1 < argc) ? argv[i + 1] : nullptr;
-    long n = 0;
     if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;
     }
-    if (value == nullptr || (arg != "--host" && !ParseLong(value, &n))) {
-      std::fprintf(stderr, "qtfd: bad or missing value for %s\n", arg.c_str());
+    const char* value = (i + 1 < argc) ? argv[++i] : nullptr;
+    unsigned long long n = 0;
+    bool ok = value != nullptr;
+    if (!ok) {
+      // Reported below.
+    } else if (arg == "--host") {
+      server_config.host = value;
+    } else if (arg == "--port") {
+      ok = ParseCount(value, std::numeric_limits<uint16_t>::max(), &n);
+      server_config.port = static_cast<uint16_t>(n);
+    } else if (arg == "--workers") {
+      ok = ParseCount(value, kMaxCount, &n);
+      server_config.workers = static_cast<int>(n);
+    } else if (arg == "--threads") {
+      ok = ParseCount(value, kMaxCount, &n);
+      service_config.framework.threads = static_cast<int>(n);
+    } else if (arg == "--queue-depth") {
+      ok = ParseCount(value, kMaxCount, &n);
+      service_config.max_queue_depth = static_cast<size_t>(n);
+    } else if (arg == "--plan-cache") {
+      ok = ParseCount(value, kMaxCount, &n);
+      service_config.framework.plan_cache_capacity = static_cast<size_t>(n);
+    } else if (arg == "--tpch-scale") {
+      ok = ParseCount(value, kMaxCount, &n);
+      service_config.framework.tpch.scale = static_cast<int>(n);
+    } else if (arg == "--fault-seed") {
+      ok = ParseCount(value, std::numeric_limits<uint64_t>::max(), &n);
+      service_config.framework.fault_injector.seed = static_cast<uint64_t>(n);
+      service_config.framework.fault_injector.fault_probability = 0.05;
+    } else if (arg == "--default-deadline") {
+      ok = ParseSeconds(value, &service_config.default_deadline_seconds);
+    } else {
+      std::fprintf(stderr, "qtfd: unknown flag %s\n", arg.c_str());
       Usage(argv[0]);
       return 2;
     }
-    ++i;
-    if (arg == "--host") {
-      server_config.host = value;
-    } else if (arg == "--port") {
-      server_config.port = static_cast<uint16_t>(n);
-    } else if (arg == "--workers") {
-      server_config.workers = static_cast<int>(n);
-    } else if (arg == "--threads") {
-      service_config.framework.threads = static_cast<int>(n);
-    } else if (arg == "--queue-depth") {
-      service_config.max_queue_depth = static_cast<size_t>(n);
-    } else if (arg == "--plan-cache") {
-      service_config.framework.plan_cache_capacity = static_cast<size_t>(n);
-    } else if (arg == "--tpch-scale") {
-      service_config.framework.tpch.scale = static_cast<int>(n);
-    } else if (arg == "--fault-seed") {
-      service_config.framework.fault_injector.seed =
-          static_cast<uint64_t>(n);
-      service_config.framework.fault_injector.fault_probability = 0.05;
-    } else if (arg == "--default-deadline") {
-      service_config.default_deadline_seconds = static_cast<double>(n);
-    } else {
-      std::fprintf(stderr, "qtfd: unknown flag %s\n", arg.c_str());
+    if (!ok) {
+      std::fprintf(stderr, "qtfd: bad or missing value for %s\n", arg.c_str());
       Usage(argv[0]);
       return 2;
     }

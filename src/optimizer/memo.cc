@@ -1,6 +1,23 @@
 #include "optimizer/memo.h"
 
+#include <algorithm>
+#include <array>
+
 namespace qtf {
+namespace {
+
+/// The most children an operator kind has (Join, UnionAll): child group
+/// ids are resolved into a stack buffer of this size.
+constexpr size_t kMaxChildren = 2;
+
+/// The signature index's key: LocalHash mixed with the child group ids.
+size_t SignatureHash(size_t local_hash, std::span<const int> child_groups) {
+  size_t h = local_hash;
+  for (int g : child_groups) h = h * 1099511628211ULL + static_cast<size_t>(g);
+  return h;
+}
+
+}  // namespace
 
 LogicalOpPtr Memo::MakeGroupRef(int group_id) const {
   const Group& g = group(group_id);
@@ -30,15 +47,16 @@ int Memo::InsertTree(const LogicalOp& op) {
   if (op.kind() == LogicalOpKind::kGroupRef) {
     return static_cast<const GroupRefOp&>(op).group_id();
   }
-  std::vector<int> child_groups;
-  child_groups.reserve(op.children().size());
-  for (const LogicalOpPtr& child : op.children()) {
-    const int child_group = InsertTree(*child);
+  const size_t arity = op.children().size();
+  QTF_CHECK(arity <= kMaxChildren);
+  std::array<int, kMaxChildren> child_groups{};
+  for (size_t i = 0; i < arity; ++i) {
+    const int child_group = InsertTree(*op.children()[i]);
     if (child_group < 0) return -1;
-    child_groups.push_back(child_group);
+    child_groups[i] = child_group;
   }
-  return InsertNormalized(op, child_groups, /*bound_hint=*/nullptr,
-                          /*target_group=*/-1)
+  return InsertNormalized(op, std::span(child_groups).first(arity),
+                          /*bound_hint=*/nullptr, /*target_group=*/-1)
       .first;
 }
 
@@ -49,45 +67,49 @@ std::pair<int, bool> Memo::Insert(const LogicalOpPtr& op, int target_group) {
     return {static_cast<const GroupRefOp&>(*op).group_id(), false};
   }
   // Normalize children to group ids (recursively inserting new subtrees).
-  std::vector<int> child_groups;
-  child_groups.reserve(op->children().size());
+  const size_t arity = op->children().size();
+  QTF_CHECK(arity <= kMaxChildren);
+  std::array<int, kMaxChildren> child_groups{};
   bool all_refs = true;
-  for (const LogicalOpPtr& child : op->children()) {
-    if (child->kind() == LogicalOpKind::kGroupRef) {
-      child_groups.push_back(static_cast<const GroupRefOp&>(*child).group_id());
+  for (size_t i = 0; i < arity; ++i) {
+    const LogicalOp& child = *op->children()[i];
+    if (child.kind() == LogicalOpKind::kGroupRef) {
+      child_groups[i] = static_cast<const GroupRefOp&>(child).group_id();
     } else {
-      const int child_group = InsertTree(*child);
+      const int child_group = InsertTree(child);
       if (child_group < 0) return {target_group, false};
-      child_groups.push_back(child_group);
+      child_groups[i] = child_group;
       all_refs = false;
     }
   }
   // When the expression is already in bound form (every child a GroupRef —
   // the common case for rule outputs built over bound inputs), it can be
   // stored as-is instead of being cloned.
-  return InsertNormalized(*op, child_groups, all_refs ? &op : nullptr,
-                          target_group);
+  return InsertNormalized(*op, std::span(child_groups).first(arity),
+                          all_refs ? &op : nullptr, target_group);
 }
 
 std::pair<int, bool> Memo::InsertNormalized(const LogicalOp& op,
-                                            const std::vector<int>& child_groups,
+                                            std::span<const int> child_groups,
                                             const LogicalOpPtr* bound_hint,
                                             int target_group) {
   // The signature index is the only dedup. Every stored expression is in
   // it, and LocalEquals implies an equal LocalHash, so every copy of this
-  // expression (in the target group or in any other) is in this range; the
-  // range's entries all share `child_groups` by construction. Groups are
-  // never merged, so one expression may live in several groups, and with
-  // no target the first copy found answers. LocalHash/LocalEquals exclude
-  // children, so the lookup works on `op` directly and duplicate insertions
-  // (the overwhelming majority once exploration converges) never pay for a
-  // WithNewChildren clone.
-  Signature sig{op.LocalHash(), child_groups};
-  auto [begin, end] = signature_index_.equal_range(sig);
+  // expression (in the target group or in any other) is in this range.
+  // Groups are never merged, so one expression may live in several groups,
+  // and with no target the first copy found answers (the newest: a
+  // multimap inserts an entry before those with an equal key).
+  // LocalHash/LocalEquals exclude children, so the lookup works on `op`
+  // directly and duplicate insertions (the overwhelming majority once
+  // exploration converges) never pay for a WithNewChildren clone.
+  const size_t hash = SignatureHash(op.LocalHash(), child_groups);
+  auto [begin, end] = signature_index_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     const auto& [g, idx] = it->second;
     if (target_group >= 0 && g != target_group) continue;
-    if (group(g).exprs[static_cast<size_t>(idx)]->op->LocalEquals(op)) {
+    const GroupExpr& stored = *group(g).exprs[static_cast<size_t>(idx)];
+    if (std::ranges::equal(stored.child_groups, child_groups) &&
+        stored.op->LocalEquals(op)) {
       return {g, false};
     }
   }
@@ -126,49 +148,18 @@ std::pair<int, bool> Memo::InsertNormalized(const LogicalOp& op,
   Group& grp = group(g);
   auto expr = std::make_unique<GroupExpr>();
   expr->op = bound;
-  expr->child_groups = child_groups;
+  expr->child_groups.assign(child_groups.begin(), child_groups.end());
   expr->applied.resize(static_cast<size_t>(rule_count_));
-  grp.exprs.push_back(std::move(expr));
   ++expr_count_;
+  expr->version = static_cast<int32_t>(expr_count_);
+  grp.exprs.push_back(std::move(expr));
   grp.version = expr_count_;
   signature_index_.emplace(
-      sig, std::make_pair(g, static_cast<int>(grp.exprs.size()) - 1));
+      hash, std::make_pair(g, static_cast<int>(grp.exprs.size()) - 1));
   return {g, true};
 }
 
 namespace {
-
-/// Appends to `out` the trees `op` makes with one option per child
-/// position, in order, stopping at `max_bindings` trees; sets `*cut` when
-/// a further tree was left out.
-void CrossProduct(
-    const std::vector<std::vector<LogicalOpPtr>>& options, size_t index,
-    std::vector<LogicalOpPtr>* current,
-    const LogicalOpPtr& op, std::vector<LogicalOpPtr>* out, int max_bindings,
-    bool* cut) {
-  if (index == options.size()) {
-    if (static_cast<int>(out->size()) >= max_bindings) {
-      *cut = true;
-      return;
-    }
-    // When every chosen child is the expression's own stored child (true
-    // for any single-level pattern, whose non-root positions are all
-    // placeholders), the binding IS the stored expression: share it
-    // instead of cloning a structurally-identical copy.
-    bool same = current->size() == op->children().size();
-    for (size_t i = 0; same && i < current->size(); ++i) {
-      same = (*current)[i].get() == op->children()[i].get();
-    }
-    out->push_back(same ? op : op->WithNewChildren(*current));
-    return;
-  }
-  for (const LogicalOpPtr& option : options[index]) {
-    current->push_back(option);
-    CrossProduct(options, index + 1, current, op, out, max_bindings, cut);
-    current->pop_back();
-    if (*cut) return;
-  }
-}
 
 bool RootMatches(const LogicalOp& op, const PatternNode& pattern) {
   if (pattern.type() == PatternNode::Type::kAny) return true;
@@ -180,48 +171,124 @@ bool RootMatches(const LogicalOp& op, const PatternNode& pattern) {
   return op.children().size() == pattern.children().size();
 }
 
+/// An operator pattern whose children are all placeholders: a matching
+/// expression's one binding is the stored expression itself.
+bool IsSingleLevel(const PatternNode& pattern) {
+  return std::ranges::all_of(pattern.children(), [](const PatternNodePtr& c) {
+    return c->type() == PatternNode::Type::kAny;
+  });
+}
+
+/// Steps `choice` to the next combination, the last position fastest;
+/// false once every combination was visited.
+bool NextCombination(std::vector<size_t>* choice,
+                     const std::vector<size_t>& ends) {
+  for (size_t i = choice->size(); i-- > 0;) {
+    if (++(*choice)[i] < ends[i]) return true;
+    (*choice)[i] = i == 0 ? 0 : ends[i - 1];
+  }
+  return false;
+}
+
 }  // namespace
 
-std::vector<LogicalOpPtr> Memo::BindPattern(const GroupExpr& expr,
-                                            const PatternNode& pattern) {
-  std::vector<LogicalOpPtr> out;
-  if (!RootMatches(*expr.op, pattern)) return out;
-  if (pattern.type() == PatternNode::Type::kAny) {
-    out.push_back(expr.op);
-    return out;
-  }
-  std::vector<std::vector<LogicalOpPtr>> options(pattern.children().size());
-  for (size_t i = 0; i < pattern.children().size(); ++i) {
+bool Memo::BindPattern(const GroupExpr& expr, const PatternNode& pattern,
+                       int64_t since, std::vector<LogicalOpPtr>* out) {
+  return Bind(expr, pattern, since, &bind_scratch_, out);
+}
+
+bool Memo::Bind(const GroupExpr& expr, const PatternNode& pattern,
+                int64_t since, BindScratch* scratch,
+                std::vector<LogicalOpPtr>* out) {
+  if (!RootMatches(*expr.op, pattern)) return false;
+  BindScratch& s = *scratch;
+  s.options.clear();
+  s.ends.clear();
+  s.nested.clear();
+  BindScratch deeper;  // untouched unless a child pattern is deeper
+  const size_t positions = pattern.children().size();
+  for (size_t i = 0; i < positions; ++i) {
     const PatternNode& child_pattern = *pattern.children()[i];
-    int child_group = expr.child_groups[i];
     if (child_pattern.type() == PatternNode::Type::kAny) {
       // Reuse the stored GroupRef leaf.
-      options[i].push_back(expr.op->children()[i]);
-    } else {
-      const Group& cg = group(child_group);
-      for (size_t ci = 0; ci < cg.exprs.size(); ++ci) {
-        std::vector<LogicalOpPtr> sub =
-            BindPattern(*cg.exprs[ci], child_pattern);
-        options[i].insert(options[i].end(), sub.begin(), sub.end());
-        if (static_cast<int>(options[i].size()) < kMaxBindings) continue;
-        // The cut drops every later expression the child pattern's root
-        // matches.
-        for (size_t rest = ci + 1; rest < cg.exprs.size(); ++rest) {
-          if (RootMatches(*cg.exprs[rest]->op, child_pattern)) {
-            truncation_.bindings = true;
-            break;
-          }
-        }
-        break;
-      }
+      s.options.push_back({&expr.op->children()[i], false});
+      s.ends.push_back(s.options.size());
+      continue;
     }
-    if (options[i].empty()) return {};
+    const bool single_level = IsSingleLevel(child_pattern);
+    const Group& cg = group(expr.child_groups[i]);
+    const size_t begin = s.options.size();
+    for (size_t ci = 0; ci < cg.exprs.size(); ++ci) {
+      const GroupExpr& child = *cg.exprs[ci];
+      if (single_level) {
+        if (RootMatches(*child.op, child_pattern)) {
+          s.options.push_back({&child.op, child.version > since});
+        }
+      } else {
+        // Nested bindings are built in full and all count as newer: the
+        // rule rebinds everything, as it would with since < 0.
+        const size_t before = s.nested.size();
+        Bind(child, child_pattern, -1, &deeper, &s.nested);
+        s.options.insert(s.options.end(), s.nested.size() - before,
+                         BindScratch::Option{nullptr, true});
+      }
+      if (s.options.size() - begin < static_cast<size_t>(kMaxBindings)) {
+        continue;
+      }
+      // The cut drops every later expression the child pattern's root
+      // matches.
+      for (size_t rest = ci + 1; rest < cg.exprs.size(); ++rest) {
+        if (RootMatches(*cg.exprs[rest]->op, child_pattern)) {
+          truncation_.bindings = true;
+          break;
+        }
+      }
+      break;
+    }
+    if (s.options.size() == begin) return false;
+    s.ends.push_back(s.options.size());
   }
-  std::vector<LogicalOpPtr> current;
-  bool cut = false;
-  CrossProduct(options, 0, &current, expr.op, &out, kMaxBindings, &cut);
-  if (cut) truncation_.bindings = true;
-  return out;
+  // Nested bindings are final now; point their options at them.
+  for (size_t k = 0, next = 0; next < s.nested.size(); ++k) {
+    if (s.options[k].op == nullptr) s.options[k].op = &s.nested[next++];
+  }
+
+  s.choice.clear();
+  for (size_t i = 0; i < positions; ++i) {
+    s.choice.push_back(i == 0 ? 0 : s.ends[i - 1]);
+  }
+  const bool root_newer = expr.version > since;
+  int combinations = 0;
+  do {
+    if (combinations == kMaxBindings) {
+      truncation_.bindings = true;
+      break;
+    }
+    ++combinations;
+    bool newer = root_newer;
+    // When every chosen child is the expression's own stored child (true
+    // for any single-level pattern, whose non-root positions are all
+    // placeholders), the binding IS the stored expression: share it
+    // instead of cloning a structurally-identical copy.
+    bool same = true;
+    for (size_t i = 0; i < positions; ++i) {
+      const BindScratch::Option& option = s.options[s.choice[i]];
+      newer = newer || option.newer;
+      same = same && option.op->get() == expr.op->children()[i].get();
+    }
+    if (!newer) continue;
+    if (same) {
+      out->push_back(expr.op);
+      continue;
+    }
+    std::vector<LogicalOpPtr> children;
+    children.reserve(positions);
+    for (size_t i = 0; i < positions; ++i) {
+      children.push_back(*s.options[s.choice[i]].op);
+    }
+    out->push_back(expr.op->WithNewChildren(std::move(children)));
+  } while (NextCombination(&s.choice, s.ends));
+  return true;
 }
 
 bool Memo::BindingInputsGrewSince(const GroupExpr& expr,

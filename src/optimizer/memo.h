@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +20,9 @@ namespace qtf {
 struct GroupExpr {
   LogicalOpPtr op;
   std::vector<int> child_groups;
+  /// Memo version (total expression count) right after this expression was
+  /// stored.
+  int32_t version = 0;
   /// The last application of one rule to this expression.
   struct Application {
     /// Memo version (total expression count) when it ran; -1 = never.
@@ -106,10 +110,15 @@ class Memo {
   /// Enumerates the bound trees of `expr` against `pattern` (top-anchored):
   /// placeholder positions become the expression's GroupRef children;
   /// operator-pattern children are expanded against every matching
-  /// expression of the child group. At most `kMaxBindings` trees; a cut
-  /// that drops a candidate sets truncation().bindings.
-  std::vector<LogicalOpPtr> BindPattern(const GroupExpr& expr,
-                                        const PatternNode& pattern);
+  /// expression of the child group, in group order, the first position
+  /// varying slowest. Every combination counts toward `kMaxBindings`; a cut
+  /// that drops a candidate sets truncation().bindings. Only combinations
+  /// holding an expression stored after memo version `since` (the root
+  /// included, so `since < 0` builds all) are built and appended to `out`;
+  /// a deeper child pattern's bindings all count as newer. Returns whether
+  /// any combination exists.
+  bool BindPattern(const GroupExpr& expr, const PatternNode& pattern,
+                   int64_t since, std::vector<LogicalOpPtr>* out);
 
   /// Whether a group that BindPattern(expr, pattern) reads has received an
   /// expression since memo version `version`. Conservative: it counts
@@ -134,32 +143,34 @@ class Memo {
   static constexpr int kMaxGroupExprs = 160;
   static constexpr int kMaxBindings = 64;
   static_assert(kMaxTotalExprs <= std::numeric_limits<int32_t>::max(),
-                "GroupExpr::Application stores versions as int32_t");
+                "GroupExpr stores versions as int32_t");
 
  private:
-  struct Signature {
-    size_t local_hash;
-    std::vector<int> child_groups;
-    bool operator==(const Signature& other) const = default;
-  };
-  struct SignatureHash {
-    size_t operator()(const Signature& sig) const {
-      size_t h = sig.local_hash;
-      for (int g : sig.child_groups) {
-        h = h * 1099511628211ULL + static_cast<size_t>(g);
-      }
-      return h;
-    }
+  /// Working storage of one BindPattern enumeration.
+  struct BindScratch {
+    struct Option {
+      const LogicalOpPtr* op;  // the child bound at this position
+      bool newer;              // holds an expression stored after `since`
+    };
+    std::vector<Option> options;  // every position's options, in order
+    std::vector<size_t> ends;     // per position: one past its last option
+    std::vector<size_t> choice;   // per position: the chosen option
+    std::vector<LogicalOpPtr> nested;  // bindings of deeper child patterns
   };
 
   int NewGroup(LogicalProps props);
+
+  /// BindPattern over `scratch`: the memo's own for the outermost call,
+  /// a local one for each deeper child pattern.
+  bool Bind(const GroupExpr& expr, const PatternNode& pattern, int64_t since,
+            BindScratch* scratch, std::vector<LogicalOpPtr>* out);
 
   /// Shared implementation of InsertTree/Insert once children are resolved
   /// to group ids. `bound_hint`, when non-null, is `op` already in bound
   /// form (children are GroupRef leaves) and is stored directly; otherwise
   /// the bound form is materialized only if the expression is new.
   std::pair<int, bool> InsertNormalized(const LogicalOp& op,
-                                        const std::vector<int>& child_groups,
+                                        std::span<const int> child_groups,
                                         const LogicalOpPtr* bound_hint,
                                         int target_group);
 
@@ -167,11 +178,14 @@ class Memo {
   std::vector<std::unique_ptr<Group>> groups_;
   int64_t expr_count_ = 0;
   Truncation truncation_;
-  /// The only dedup: expression signature -> (group, expr index), one
-  /// entry per stored expression. Hash collisions are resolved by
-  /// LocalEquals on the stored op.
-  std::unordered_multimap<Signature, std::pair<int, int>, SignatureHash>
-      signature_index_;
+  /// The only dedup: signature hash (LocalHash mixed with the child group
+  /// ids) -> (group, expr index), one entry per stored expression. A probe
+  /// compares the stored expression's child groups and LocalEquals, so
+  /// hash collisions are harmless.
+  std::unordered_multimap<size_t, std::pair<int, int>> signature_index_;
+  /// BindPattern's option lists and odometer, reused across calls (a memo
+  /// is confined to one search thread).
+  BindScratch bind_scratch_;
   /// Lazily-built shared GroupRef leaves, one slot per group (see
   /// MakeGroupRef). Mutable: memoization only, and a memo is confined to
   /// one search thread.

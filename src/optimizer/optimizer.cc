@@ -130,33 +130,49 @@ class SearchEngine {
     return true;
   }
 
-  /// Whether `rule` must (re)run on `expr` at memo version `version`: when
-  /// it never ran there, or when the memo grew since its last run there
-  /// and either
-  ///   (a) a group BindPattern reads grew, so the bindings may differ, or
+  /// Whether `rule` must (re)run on `expr` at memo version `version`, and
+  /// if so the `since` version for BindPattern. It runs when it never ran
+  /// there (since -1), or when the memo grew since its last run there and
+  /// either
+  ///   (a) a group BindPattern reads grew, so there may be new bindings:
+  ///       since is the last run's version, so only the combinations
+  ///       holding a newer expression are bound, or
   ///   (b) the last run built a subtree: the index resolves it to a group
   ///       holding that expression, and since groups are never merged
-  ///       that group can differ on a rerun.
+  ///       that group can differ on a rerun, so every combination is
+  ///       bound again (since -1).
   /// Otherwise a rerun repeats the last run's bound-form outputs, which
-  /// land on the copies that run stored.
-  bool NeedsApplication(const GroupExpr& expr, const ExplorationRule& rule,
-                        int64_t version) const {
+  /// land on the copies that run stored. For the same reason (a) may skip
+  /// the old combinations: each re-derives bound-form outputs that land on
+  /// the stored copies or are refused again at a cap that only tightens.
+  /// New expressions are appended to their groups, so every old
+  /// combination inside today's first kMaxBindings was inside the last
+  /// run's.
+  std::optional<int64_t> BindSince(const GroupExpr& expr,
+                                   const ExplorationRule& rule,
+                                   int64_t version) const {
     const GroupExpr::Application& last =
         expr.applied[static_cast<size_t>(rule.id())];
-    if (last.version < 0) return true;
-    if (last.version == version) return false;
-    return last.built_subtree ||
-           memo_.BindingInputsGrewSince(expr, *rule.pattern(), last.version);
+    if (last.version < 0) return -1;
+    if (last.version == version) return std::nullopt;
+    if (last.built_subtree) return -1;
+    if (memo_.BindingInputsGrewSince(expr, *rule.pattern(), last.version)) {
+      return last.version;
+    }
+    return std::nullopt;
   }
 
   /// Applies exploration rules to fixpoint. A rule is (re)applied to an
-  /// expression when NeedsApplication says a rerun can add something, so
+  /// expression when BindSince says a rerun can add something, so
   /// multi-level patterns eventually see all bindings. Exploration is the
   /// unbounded part of the search, so this is where budgets and
   /// cancellation are enforced: a tripped budget stops adding expressions
   /// (the caller still implements and costs what exists), a cancelled
   /// token aborts with kCancelled.
   Status Explore() {
+    // Reused by every rule run.
+    std::vector<LogicalOpPtr> bindings;
+    std::vector<LogicalOpPtr> outputs;
     bool changed = true;
     while (changed && !memo_.saturated() && !BudgetExhausted()) {
       changed = false;
@@ -176,10 +192,13 @@ class SearchEngine {
             // survives the insertions below.
             GroupExpr& expr = *memo_.group(g).exprs[ei];
             const int64_t version = memo_.expr_count();
-            if (!NeedsApplication(expr, rule, version)) continue;
-            std::vector<LogicalOpPtr> bindings =
-                memo_.BindPattern(expr, *rule.pattern());
-            if (!bindings.empty() && fault_injector_ != nullptr &&
+            const std::optional<int64_t> since =
+                BindSince(expr, rule, version);
+            if (!since.has_value()) continue;
+            bindings.clear();
+            const bool matched =
+                memo_.BindPattern(expr, *rule.pattern(), *since, &bindings);
+            if (matched && fault_injector_ != nullptr &&
                 fault_injector_->enabled()) {
               // Key: where in the search we are, mixed with the caller's
               // salt so a retried invocation re-rolls the decision.
@@ -192,7 +211,7 @@ class SearchEngine {
             }
             bool built_subtree = false;
             for (const LogicalOpPtr& bound : bindings) {
-              std::vector<LogicalOpPtr> outputs;
+              outputs.clear();
               rule.Apply(*bound, &outputs);
               if (!outputs.empty()) {
                 exercised_.insert(rule.id());

@@ -59,6 +59,26 @@ TEST(ConjunctTest, MakeConjunctionIsCanonical) {
   EXPECT_TRUE(ExprEquals(*e1, *e3));
 }
 
+TEST(ConjunctTest, APairTakesTheOrderItHasInALongerList) {
+  // Two conjuncts take a path of their own; it must order a pair as the
+  // general path orders the same two inside a longer list.
+  const std::vector<ExprPtr> conjuncts = {
+      Eq(IntCol(1), LitInt(1)), Cmp(CompareOp::kLt, IntCol(2), LitInt(5)),
+      IsNull(IntCol(3)), Eq(IntCol(4), IntCol(1))};
+  const std::vector<ExprPtr> sorted =
+      SplitConjuncts(MakeConjunction(conjuncts));
+  ASSERT_EQ(sorted.size(), conjuncts.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    for (size_t j = i + 1; j < sorted.size(); ++j) {
+      const ExprPtr want = And(sorted[i], sorted[j]);
+      EXPECT_TRUE(ExprEquals(*MakeConjunction({sorted[i], sorted[j]}), *want))
+          << i << "," << j;
+      EXPECT_TRUE(ExprEquals(*MakeConjunction({sorted[j], sorted[i]}), *want))
+          << j << "," << i;
+    }
+  }
+}
+
 TEST(ConjunctTest, RoundTripSplitMake) {
   ExprPtr a = Eq(IntCol(1), LitInt(1));
   ExprPtr b = Eq(IntCol(2), LitInt(2));

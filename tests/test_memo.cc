@@ -1,5 +1,5 @@
 // Memo structure: insertion, deduplication, group creation, pattern
-// binding.
+// binding (full and since a memo version).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,23 @@ class MemoTest : public ::testing::Test {
     region_ = GetOp::Create(db_->catalog().GetTable("region").value(),
                             registry_.get());
     memo_ = std::make_unique<Memo>(/*rule_count=*/4);
+  }
+
+  /// Every binding of `expr` against `pattern` (since < 0).
+  std::vector<LogicalOpPtr> BindAll(const GroupExpr& expr,
+                                    const PatternNode& pattern) {
+    std::vector<LogicalOpPtr> out;
+    memo_->BindPattern(expr, pattern, /*since=*/-1, &out);
+    return out;
+  }
+
+  LogicalOpPtr NationFilter(const LogicalOpPtr& input, int64_t key) {
+    return std::make_shared<SelectOp>(
+        input, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(key)));
+  }
+  LogicalOpPtr RegionFilter(const LogicalOpPtr& input, int64_t key) {
+    return std::make_shared<SelectOp>(
+        input, Eq(Col(region_->columns()[0], ValueType::kInt64), LitInt(key)));
   }
 
   std::unique_ptr<Database> db_;
@@ -92,8 +109,8 @@ TEST_F(MemoTest, BindPatternSingleLevel) {
                                        nullptr);
   int root = memo_->InsertTree(*join);
   const GroupExpr& expr = *memo_->group(root).exprs[0];
-  auto bindings = memo_->BindPattern(
-      expr, *P::Join(JoinKind::kInner, P::Any(), P::Any()));
+  auto bindings =
+      BindAll(expr, *P::Join(JoinKind::kInner, P::Any(), P::Any()));
   ASSERT_EQ(bindings.size(), 1u);
   EXPECT_EQ(bindings[0]->kind(), LogicalOpKind::kJoin);
   EXPECT_EQ(bindings[0]->child(0)->kind(), LogicalOpKind::kGroupRef);
@@ -103,8 +120,7 @@ TEST_F(MemoTest, BindPatternKindMismatchReturnsEmpty) {
   int g = memo_->InsertTree(*nation_);
   const GroupExpr& expr = *memo_->group(g).exprs[0];
   EXPECT_TRUE(
-      memo_->BindPattern(expr, *P::Op(LogicalOpKind::kSelect, {P::Any()}))
-          .empty());
+      BindAll(expr, *P::Op(LogicalOpKind::kSelect, {P::Any()})).empty());
 }
 
 TEST_F(MemoTest, BindPatternTwoLevelEnumeratesChildExprs) {
@@ -125,8 +141,7 @@ TEST_F(MemoTest, BindPatternTwoLevelEnumeratesChildExprs) {
 
   PatternNodePtr pattern = P::Op(
       LogicalOpKind::kSelect, {P::Join(JoinKind::kInner, P::Any(), P::Any())});
-  auto bindings =
-      memo_->BindPattern(*memo_->group(root).exprs[0], *pattern);
+  auto bindings = BindAll(*memo_->group(root).exprs[0], *pattern);
   // Both join expressions produce a binding.
   EXPECT_EQ(bindings.size(), 2u);
 }
@@ -193,17 +208,146 @@ TEST_F(MemoTest, BindPatternCutAtMaxBindingsIsReported) {
   }
   ASSERT_EQ(memo_->group(child_group).exprs.size(),
             static_cast<size_t>(Memo::kMaxBindings));
-  EXPECT_EQ(memo_->BindPattern(*memo_->group(root).exprs[0], *pattern).size(),
+  EXPECT_EQ(BindAll(*memo_->group(root).exprs[0], *pattern).size(),
             static_cast<size_t>(Memo::kMaxBindings));
   EXPECT_FALSE(memo_->truncation().bindings);
 
   // One more is cut, and the cut is recorded.
   memo_->Insert(filter(memo_->MakeGroupRef(nation_group), Memo::kMaxBindings),
                 child_group);
-  EXPECT_EQ(memo_->BindPattern(*memo_->group(root).exprs[0], *pattern).size(),
+  EXPECT_EQ(BindAll(*memo_->group(root).exprs[0], *pattern).size(),
             static_cast<size_t>(Memo::kMaxBindings));
   EXPECT_TRUE(memo_->truncation().bindings);
   EXPECT_FALSE(memo_->saturated());
+}
+
+TEST_F(MemoTest, BindPatternSinceBindsOnlyCombinationsHoldingANewerExpr) {
+  // Join(Select(nation), Select(region)) against
+  // Join(Select(Any), Select(Any)): one combination per pair of Select
+  // expressions in the two child groups.
+  int root = memo_->InsertTree(*std::make_shared<JoinOp>(
+      JoinKind::kInner, NationFilter(nation_, 0), RegionFilter(region_, 0),
+      nullptr));
+  const GroupExpr& join_expr = *memo_->group(root).exprs[0];
+  const int left = join_expr.child_groups[0];
+  const int right = join_expr.child_groups[1];
+  PatternNodePtr pattern = P::Join(JoinKind::kInner,
+                                   P::Op(LogicalOpKind::kSelect, {P::Any()}),
+                                   P::Op(LogicalOpKind::kSelect, {P::Any()}));
+  std::vector<LogicalOpPtr> first;
+  ASSERT_TRUE(memo_->BindPattern(join_expr, *pattern, -1, &first));
+  ASSERT_EQ(first.size(), 1u);
+  const int64_t since = memo_->expr_count();
+
+  // Nothing newer: the combination exists but is not built again.
+  std::vector<LogicalOpPtr> none;
+  EXPECT_TRUE(memo_->BindPattern(join_expr, *pattern, since, &none));
+  EXPECT_TRUE(none.empty());
+
+  // One newer Select on each side.
+  const LogicalOpPtr nation_ref =
+      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_groups[0]);
+  const LogicalOpPtr region_ref =
+      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_groups[0]);
+  ASSERT_TRUE(memo_->Insert(NationFilter(nation_ref, 1), left).second);
+  ASSERT_TRUE(memo_->Insert(RegionFilter(region_ref, 1), right).second);
+  const LogicalOp* a0 = memo_->group(left).exprs[0]->op.get();
+  const LogicalOp* a1 = memo_->group(left).exprs[1]->op.get();
+  const LogicalOp* b0 = memo_->group(right).exprs[0]->op.get();
+  const LogicalOp* b1 = memo_->group(right).exprs[1]->op.get();
+
+  // Enumeration order is (a0,b0) (a0,b1) (a1,b0) (a1,b1); all but the
+  // first hold a newer expression.
+  std::vector<LogicalOpPtr> rerun;
+  EXPECT_TRUE(memo_->BindPattern(join_expr, *pattern, since, &rerun));
+  const std::vector<std::pair<const LogicalOp*, const LogicalOp*>> want = {
+      {a0, b1}, {a1, b0}, {a1, b1}};
+  ASSERT_EQ(rerun.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rerun[i]->child(0).get(), want[i].first) << "binding " << i;
+    EXPECT_EQ(rerun[i]->child(1).get(), want[i].second) << "binding " << i;
+  }
+  // The same combinations, in the same order, as in a full rebind.
+  const std::vector<LogicalOpPtr> all = BindAll(join_expr, *pattern);
+  ASSERT_EQ(all.size(), 4u);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(all[i + 1]->child(0).get(), rerun[i]->child(0).get());
+    EXPECT_EQ(all[i + 1]->child(1).get(), rerun[i]->child(1).get());
+  }
+  EXPECT_FALSE(memo_->truncation().bindings);
+}
+
+TEST_F(MemoTest, BindPatternSkippedCombinationsStillCountTowardTheCut) {
+  // kMaxBindings old Selects on the right, one on the left: the old
+  // combinations fill the cap exactly.
+  int root = memo_->InsertTree(*std::make_shared<JoinOp>(
+      JoinKind::kInner, NationFilter(nation_, 0), RegionFilter(region_, 0),
+      nullptr));
+  const GroupExpr& join_expr = *memo_->group(root).exprs[0];
+  const int left = join_expr.child_groups[0];
+  const int right = join_expr.child_groups[1];
+  const LogicalOpPtr nation_ref =
+      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_groups[0]);
+  const LogicalOpPtr region_ref =
+      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_groups[0]);
+  for (int64_t key = 1; key < Memo::kMaxBindings; ++key) {
+    memo_->Insert(RegionFilter(region_ref, key), right);
+  }
+  ASSERT_EQ(memo_->group(right).exprs.size(),
+            static_cast<size_t>(Memo::kMaxBindings));
+  PatternNodePtr pattern = P::Join(JoinKind::kInner,
+                                   P::Op(LogicalOpKind::kSelect, {P::Any()}),
+                                   P::Op(LogicalOpKind::kSelect, {P::Any()}));
+  const int64_t since = memo_->expr_count();
+
+  // A newer Select on the left: its combinations all come after the
+  // kMaxBindings old ones, so each is cut although no old one is built.
+  ASSERT_TRUE(memo_->Insert(NationFilter(nation_ref, 1), left).second);
+  std::vector<LogicalOpPtr> rerun;
+  EXPECT_TRUE(memo_->BindPattern(join_expr, *pattern, since, &rerun));
+  EXPECT_TRUE(rerun.empty());
+  EXPECT_TRUE(memo_->truncation().bindings);
+  EXPECT_EQ(BindAll(join_expr, *pattern).size(),
+            static_cast<size_t>(Memo::kMaxBindings));
+}
+
+TEST_F(MemoTest, BindPatternDeeperChildPatternRebindsEverything) {
+  // Select(Select(Select(nation))) against Select(Select(Select(Any))): the
+  // root's child position holds a deeper pattern, whose nested bindings
+  // (one per expression of the grandchild group) all count as newer.
+  int root = memo_->InsertTree(
+      *NationFilter(NationFilter(NationFilter(nation_, 0), 1), 2));
+  const GroupExpr& root_expr = *memo_->group(root).exprs[0];
+  const int middle = root_expr.child_groups[0];
+  const int bottom = memo_->group(middle).exprs[0]->child_groups[0];
+  const int nation_group = memo_->group(bottom).exprs[0]->child_groups[0];
+  PatternNodePtr pattern = P::Op(
+      LogicalOpKind::kSelect,
+      {P::Op(LogicalOpKind::kSelect,
+             {P::Op(LogicalOpKind::kSelect, {P::Any()})})});
+  ASSERT_EQ(BindAll(root_expr, *pattern).size(), 1u);
+  const int64_t since = memo_->expr_count();
+
+  // Nothing stored since, yet the nested binding is bound again.
+  std::vector<LogicalOpPtr> unchanged;
+  EXPECT_TRUE(memo_->BindPattern(root_expr, *pattern, since, &unchanged));
+  EXPECT_EQ(unchanged.size(), 1u);
+
+  // A newer grandchild expression: the rerun binds what a full bind does,
+  // in the same order.
+  ASSERT_TRUE(memo_->Insert(NationFilter(memo_->MakeGroupRef(nation_group), 3),
+                            bottom)
+                  .second);
+  std::vector<LogicalOpPtr> rerun;
+  EXPECT_TRUE(memo_->BindPattern(root_expr, *pattern, since, &rerun));
+  const std::vector<LogicalOpPtr> all = BindAll(root_expr, *pattern);
+  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(rerun.size(), all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_TRUE(LogicalTreeEquals(*rerun[i], *all[i])) << "binding " << i;
+    EXPECT_EQ(rerun[i]->child(0)->child(0).get(),
+              memo_->group(bottom).exprs[i]->op.get());
+  }
 }
 
 TEST_F(MemoTest, BindingInputsGrowOnlyWithTheGroupsAPatternReads) {
