@@ -136,13 +136,6 @@ Result<service::CompressSuiteResponse> ServiceClient::CompressSuite(
   return std::get<service::CompressSuiteResponse>(std::move(response));
 }
 
-Result<service::CorrectnessResponse> ServiceClient::RunCorrectness(
-    const service::CorrectnessRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::CorrectnessResponse>(std::move(response));
-}
-
 Result<service::SqlResponse> ServiceClient::Sql(
     const service::SqlRequest& request) {
   QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,

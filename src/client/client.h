@@ -33,8 +33,6 @@ class ServiceClient {
       const service::GenerateRequest& request);
   Result<service::CompressSuiteResponse> CompressSuite(
       const service::CompressSuiteRequest& request);
-  Result<service::CorrectnessResponse> RunCorrectness(
-      const service::CorrectnessRequest& request);
   Result<service::SqlResponse> Sql(const service::SqlRequest& request);
   Result<service::LoadRulesResponse> LoadRules(
       const service::LoadRulesRequest& request);

@@ -157,7 +157,7 @@ int RunSql(qtf::client::ServiceClient* client, const std::string& statement,
     std::printf("cost: %.6f\n", r.cost);
     std::printf("memo: %d groups, %lld exprs%s\n", r.group_count,
                 static_cast<long long>(r.expr_count),
-                r.budget_exhausted ? " (budget exhausted)" : "");
+                r.budget_exhausted ? " (truncated: deadline passed)" : "");
     std::string rules;
     for (qtf::RuleId id : r.exercised_rules) {
       if (!rules.empty()) rules += ", ";

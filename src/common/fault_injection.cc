@@ -1,22 +1,9 @@
 #include "common/fault_injection.h"
 
+#include "common/hash.h"
+
 namespace qtf {
 namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashSite(const char* site) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (const char* p = site; *p != '\0'; ++p) {
-    h = (h ^ static_cast<uint64_t>(*p)) * 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Uniform double in [0, 1) from the top 53 bits of a mixed hash.
 double ToUnit(uint64_t h) {
@@ -27,7 +14,7 @@ double ToUnit(uint64_t h) {
 
 bool FaultInjector::ShouldFault(const char* site, uint64_t key) const {
   if (config_.fault_probability <= 0.0) return false;
-  uint64_t h = Mix64(config_.seed ^ Mix64(HashSite(site) ^ key));
+  uint64_t h = Mix64(config_.seed ^ Mix64(Fnv1a(site) ^ key));
   return ToUnit(h) < config_.fault_probability;
 }
 
@@ -36,7 +23,7 @@ Status FaultInjector::Probe(const char* site, uint64_t key) const {
   if (config_.latency_probability > 0.0 && config_.latency_micros > 0.0) {
     // Distinct salt so latency and fault decisions are independent.
     uint64_t h =
-        Mix64(config_.seed ^ Mix64(HashSite(site) ^ key ^ 0x5851f42d4c957f2dULL));
+        Mix64(config_.seed ^ Mix64(Fnv1a(site) ^ key ^ 0x5851f42d4c957f2dULL));
     if (ToUnit(h) < config_.latency_probability) {
       if (latency_total_ != nullptr) latency_total_->Increment();
       std::this_thread::sleep_for(

@@ -17,11 +17,11 @@ enum class StatusCode {
   kUnimplemented,
   kInternal,
   kExecutionError,
-  // Robustness taxonomy (docs/robustness.md): budgeted, cancellable,
-  // fault-tolerant operation.
-  kDeadlineExceeded,   // a Deadline/SearchBudget wall clock ran out
+  // Robustness taxonomy (docs/robustness.md): deadline-bounded,
+  // cancellable, fault-tolerant operation.
+  kDeadlineExceeded,   // a Deadline passed
   kCancelled,          // a CancellationToken was triggered
-  kResourceExhausted,  // a non-time budget (memo groups/exprs) ran out
+  kResourceExhausted,  // a capacity ran out (admission queue, memo size)
   kUnavailable,        // transient failure; retrying may succeed
 };
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -20,13 +21,9 @@ namespace qtf {
 /// spread across buckets.
 struct EdgeKeyHash {
   size_t operator()(const std::pair<int, int>& key) const {
-    uint64_t x =
+    return static_cast<size_t>(Mix64(
         (static_cast<uint64_t>(static_cast<uint32_t>(key.first)) << 32) |
-        static_cast<uint64_t>(static_cast<uint32_t>(key.second));
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31));
+        static_cast<uint64_t>(static_cast<uint32_t>(key.second))));
   }
 };
 

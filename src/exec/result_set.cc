@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/str_util.h"
-
 namespace qtf {
 namespace {
 
@@ -47,27 +45,6 @@ bool ResultBagEquals(const ResultSet& a, const ResultSet& b) {
     if (!RowClose(sa[i], sb[i])) return false;
   }
   return true;
-}
-
-std::string ResultSetToString(const ResultSet& result, int max_rows) {
-  std::string out;
-  std::vector<std::string> header;
-  for (ColumnId id : result.columns) header.push_back("c" + std::to_string(id));
-  out += Join(header, " | ") + "\n";
-  int shown = 0;
-  for (const Row& row : result.rows) {
-    if (shown++ >= max_rows) {
-      out += "... (" +
-             std::to_string(result.rows.size() - static_cast<size_t>(max_rows)) +
-             " more rows)\n";
-      break;
-    }
-    std::vector<std::string> cells;
-    for (const Value& v : row) cells.push_back(v.ToSqlLiteral());
-    out += Join(cells, " | ") + "\n";
-  }
-  out += "(" + std::to_string(result.rows.size()) + " rows)\n";
-  return out;
 }
 
 }  // namespace qtf

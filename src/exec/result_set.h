@@ -1,7 +1,6 @@
 #ifndef QTF_EXEC_RESULT_SET_H_
 #define QTF_EXEC_RESULT_SET_H_
 
-#include <string>
 #include <vector>
 
 #include "expr/expr.h"
@@ -25,10 +24,6 @@ struct ResultSet {
 /// (equally correct) plans may sum floating-point values in different
 /// orders. NULLs compare equal to NULLs only.
 bool ResultBagEquals(const ResultSet& a, const ResultSet& b);
-
-/// Human-readable table rendering (for examples and failure reports);
-/// at most `max_rows` rows.
-std::string ResultSetToString(const ResultSet& result, int max_rows);
 
 }  // namespace qtf
 

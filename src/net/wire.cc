@@ -97,10 +97,11 @@ struct ErrorPayload {
 
 auto Fields(Of<ErrorPayload> auto& m) { return std::tie(m.code, m.message); }
 
-// `cancel` does not travel: remote cancellation is closing the connection.
+// `cancel` does not travel: the deadline is a remote caller's only stop,
+// since an admitted request runs to completion even after its connection
+// closes.
 auto Fields(Of<service::RequestOptions> auto& m) {
-  return std::tie(m.budget.wall_seconds, m.budget.max_memo_groups,
-                  m.budget.max_memo_exprs, m.deadline_seconds);
+  return std::tie(m.deadline_seconds);
 }
 
 auto Fields(Of<service::SuiteSpec> auto& m) {

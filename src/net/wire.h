@@ -30,7 +30,7 @@ namespace net {
 /// tagged with the id of the request it answers, so one connection can
 /// have many requests in flight.
 inline constexpr uint32_t kFrameMagic = 0x51544657;  // "QTFW"
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Upper bound on a frame payload. Anything larger is a protocol error
 /// (the connection is closed), which also caps what a hostile peer can

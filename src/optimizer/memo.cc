@@ -17,6 +17,16 @@ size_t SignatureHash(size_t local_hash, std::span<const int> child_groups) {
   return h;
 }
 
+/// Whether a stored expression's children are the groups `child_groups`.
+bool SameChildGroups(const GroupExpr& stored,
+                     std::span<const int> child_groups) {
+  if (stored.op->children().size() != child_groups.size()) return false;
+  for (size_t i = 0; i < child_groups.size(); ++i) {
+    if (stored.child_group(i) != child_groups[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 LogicalOpPtr Memo::MakeGroupRef(int group_id) const {
@@ -108,7 +118,7 @@ std::pair<int, bool> Memo::InsertNormalized(const LogicalOp& op,
     const auto& [g, idx] = it->second;
     if (target_group >= 0 && g != target_group) continue;
     const GroupExpr& stored = *group(g).exprs[static_cast<size_t>(idx)];
-    if (std::ranges::equal(stored.child_groups, child_groups) &&
+    if (SameChildGroups(stored, child_groups) &&
         stored.op->LocalEquals(op)) {
       return {g, false};
     }
@@ -148,12 +158,10 @@ std::pair<int, bool> Memo::InsertNormalized(const LogicalOp& op,
   Group& grp = group(g);
   auto expr = std::make_unique<GroupExpr>();
   expr->op = bound;
-  expr->child_groups.assign(child_groups.begin(), child_groups.end());
   expr->applied.resize(static_cast<size_t>(rule_count_));
   ++expr_count_;
   expr->version = static_cast<int32_t>(expr_count_);
   grp.exprs.push_back(std::move(expr));
-  grp.version = expr_count_;
   signature_index_.emplace(
       hash, std::make_pair(g, static_cast<int>(grp.exprs.size()) - 1));
   return {g, true};
@@ -216,7 +224,7 @@ bool Memo::Bind(const GroupExpr& expr, const PatternNode& pattern,
       continue;
     }
     const bool single_level = IsSingleLevel(child_pattern);
-    const Group& cg = group(expr.child_groups[i]);
+    const Group& cg = group(expr.child_group(i));
     const size_t begin = s.options.size();
     for (size_t ci = 0; ci < cg.exprs.size(); ++ci) {
       const GroupExpr& child = *cg.exprs[ci];
@@ -299,8 +307,8 @@ bool Memo::BindingInputsGrewSince(const GroupExpr& expr,
   for (size_t i = 0; i < pattern.children().size(); ++i) {
     const PatternNode& child_pattern = *pattern.children()[i];
     if (child_pattern.type() == PatternNode::Type::kAny) continue;
-    const Group& cg = group(expr.child_groups[i]);
-    if (cg.version > version) return true;
+    const Group& cg = group(expr.child_group(i));
+    if (cg.exprs.back()->version > version) return true;
     for (const auto& child_expr : cg.exprs) {
       if (BindingInputsGrewSince(*child_expr, child_pattern, version)) {
         return true;

@@ -19,7 +19,6 @@ namespace qtf {
 /// are GroupRefOp leaves pointing at other groups.
 struct GroupExpr {
   LogicalOpPtr op;
-  std::vector<int> child_groups;
   /// Memo version (total expression count) right after this expression was
   /// stored.
   int32_t version = 0;
@@ -32,8 +31,13 @@ struct GroupExpr {
     bool built_subtree = false;
   };
   /// Per RuleId. Exploration decides from this whether a rerun can add
-  /// anything (see SearchEngine::NeedsApplication).
+  /// anything (see SearchEngine::BindSince).
   std::vector<Application> applied;
+
+  /// The group the i-th child's GroupRef leaf points at.
+  int child_group(size_t i) const {
+    return static_cast<const GroupRefOp&>(*op->children()[i]).group_id();
+  }
 };
 
 /// An equivalence class of logical expressions plus its physical
@@ -41,10 +45,10 @@ struct GroupExpr {
 struct Group {
   int id = -1;
   LogicalProps props;
+  /// Never empty: a group is created with its first expression, and the
+  /// last one's version is the group's (the memo version after its last
+  /// insert).
   std::vector<std::unique_ptr<GroupExpr>> exprs;
-  /// Memo version (total expression count) right after this group's last
-  /// insert.
-  int64_t version = 0;
 
   std::vector<PhysicalAlternative> alternatives;
   bool implemented = false;

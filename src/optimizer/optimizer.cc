@@ -17,16 +17,11 @@ namespace {
 class SearchEngine {
  public:
   SearchEngine(const RuleRegistry& rules, const CostModel& cost_model,
-               const OptimizerOptions& options, const SearchBudget& budget,
-               FaultInjector* fault_injector,
+               const OptimizerOptions& options, FaultInjector* fault_injector,
                const std::vector<obs::Counter*>* rule_apply)
       : rules_(rules),
         cost_model_(cost_model),
         options_(options),
-        budget_(budget),
-        deadline_(budget.wall_seconds > 0.0
-                      ? Deadline::After(budget.wall_seconds)
-                      : Deadline::Never()),
         fault_injector_(fault_injector),
         rule_apply_(rule_apply),
         memo_(rules.size()) {}
@@ -42,15 +37,11 @@ class SearchEngine {
     QTF_RETURN_NOT_OK(Implement());
     double cost = BestCost(root);
     if (!std::isfinite(cost)) {
-      // With exploration truncated by a budget the failure is the budget's
-      // fault, not a planner invariant violation.
-      if (deadline_exhausted_) {
+      // With exploration truncated by the deadline the failure is the
+      // deadline's, not a planner invariant violation.
+      if (deadline_passed_) {
         return Status::DeadlineExceeded(
-            "search budget expired before any plan was found");
-      }
-      if (budget_exhausted_) {
-        return Status::ResourceExhausted(
-            "memo budget exhausted before any plan was found");
+            "deadline passed before any plan was found");
       }
       return Status::Internal("no finite-cost plan found for query");
     }
@@ -79,7 +70,7 @@ class SearchEngine {
     result.group_count = memo_.group_count();
     result.expr_count = memo_.expr_count();
     result.saturated = memo_.saturated();
-    result.budget_exhausted = budget_exhausted_ || deadline_exhausted_;
+    result.budget_exhausted = deadline_passed_;
     return result;
   }
 
@@ -98,27 +89,16 @@ class SearchEngine {
     }
   }
 
-  /// Budget check at task-loop granularity. The memo dimensions are exact
-  /// integer compares (deterministic truncation point); the wall clock is
-  /// only consulted every kDeadlineStride checks to keep the probe cheap.
-  bool BudgetExhausted() {
-    if (budget_exhausted_ || deadline_exhausted_) return true;
-    if (budget_.max_memo_exprs > 0 &&
-        memo_.expr_count() >= budget_.max_memo_exprs) {
-      budget_exhausted_ = true;
-      return true;
+  /// Deadline check at task-loop granularity. The clock is only read every
+  /// kDeadlineStride checks to keep the probe cheap.
+  bool DeadlinePassed() {
+    if (deadline_passed_) return true;
+    if (!options_.deadline.never() &&
+        (++deadline_checks_ % kDeadlineStride) == 0 &&
+        options_.deadline.expired()) {
+      deadline_passed_ = true;
     }
-    if (budget_.max_memo_groups > 0 &&
-        memo_.group_count() >= budget_.max_memo_groups) {
-      budget_exhausted_ = true;
-      return true;
-    }
-    if (!deadline_.never() &&
-        (++deadline_checks_ % kDeadlineStride) == 0 && deadline_.expired()) {
-      deadline_exhausted_ = true;
-      return true;
-    }
-    return false;
+    return deadline_passed_;
   }
 
   /// Whether every child of a rule output is a GroupRef leaf: the memo
@@ -165,8 +145,8 @@ class SearchEngine {
   /// Applies exploration rules to fixpoint. A rule is (re)applied to an
   /// expression when BindSince says a rerun can add something, so
   /// multi-level patterns eventually see all bindings. Exploration is the
-  /// unbounded part of the search, so this is where budgets and
-  /// cancellation are enforced: a tripped budget stops adding expressions
+  /// unbounded part of the search, so this is where the deadline and
+  /// cancellation are enforced: a passed deadline stops adding expressions
   /// (the caller still implements and costs what exists), a cancelled
   /// token aborts with kCancelled.
   Status Explore() {
@@ -174,7 +154,7 @@ class SearchEngine {
     std::vector<LogicalOpPtr> bindings;
     std::vector<LogicalOpPtr> outputs;
     bool changed = true;
-    while (changed && !memo_.saturated() && !BudgetExhausted()) {
+    while (changed && !memo_.saturated() && !DeadlinePassed()) {
       changed = false;
       for (int g = 0; g < memo_.group_count(); ++g) {
         // Index loop: exprs/groups grow during iteration.
@@ -182,7 +162,7 @@ class SearchEngine {
           if (options_.cancel.cancelled()) {
             return Status::Cancelled("optimization cancelled mid-search");
           }
-          if (BudgetExhausted()) return Status::OK();
+          if (DeadlinePassed()) return Status::OK();
           for (const auto& rule_ptr : rules_.rules()) {
             if (rule_ptr->type() != RuleType::kExploration) continue;
             const auto& rule =
@@ -234,7 +214,7 @@ class SearchEngine {
   }
 
   /// Applies implementation rules to every logical expression. Runs even
-  /// after a tripped budget — it is bounded by the memo size and is what
+  /// after the deadline passed — it is bounded by the memo size and is what
   /// turns the truncated search into a usable best-so-far plan — but still
   /// honours cancellation.
   Status Implement() {
@@ -318,8 +298,6 @@ class SearchEngine {
   const RuleRegistry& rules_;
   const CostModel& cost_model_;
   const OptimizerOptions& options_;
-  const SearchBudget& budget_;
-  Deadline deadline_;
   FaultInjector* fault_injector_;
   /// Per RuleId: total applications that produced output (may be null in
   /// contexts without metrics). Indexed defensively — the registry can be
@@ -328,9 +306,8 @@ class SearchEngine {
   const std::vector<obs::Counter*>* rule_apply_;
   Memo memo_;
   RuleIdSet exercised_;
-  bool budget_exhausted_ = false;
-  bool deadline_exhausted_ = false;
-  /// The wall clock is only read every kDeadlineStride budget checks.
+  bool deadline_passed_ = false;
+  /// The clock is only read every kDeadlineStride deadline checks.
   static constexpr int64_t kDeadlineStride = 64;
   int64_t deadline_checks_ = 0;
 };
@@ -416,9 +393,7 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
     if (hit.has_value()) return *std::move(hit);
   }
   searches_->Increment();
-  const SearchBudget& budget =
-      options.budget.unlimited() ? default_budget_ : options.budget;
-  SearchEngine engine(*rules_, cost_model_, options, budget, fault_injector_,
+  SearchEngine engine(*rules_, cost_model_, options, fault_injector_,
                       &rule_apply_);
   const auto search_start = std::chrono::steady_clock::now();
   Result<OptimizeResult> result = engine.Run(canonical);
@@ -444,8 +419,8 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
   } else if (result.status().code() == StatusCode::kCancelled) {
     cancelled_->Increment();
   }
-  // Budget-exhausted results are upper bounds, not Cost(q, not R); caching
-  // them would poison later unbudgeted lookups of the same key.
+  // Deadline-truncated results are upper bounds, not Cost(q, not R);
+  // caching them would poison later lookups of the same key.
   if (cache != nullptr && result.ok() && !result->budget_exhausted) {
     cache->Insert(canonical, options.disabled_rules, result.value());
   }

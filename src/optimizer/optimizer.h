@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "common/budget.h"
+#include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "common/result.h"
 #include "exec/physical.h"
@@ -30,12 +30,12 @@ using RuleIdSet = std::set<RuleId>;
 /// and the monotonicity pruning rely on).
 struct OptimizerOptions {
   RuleIdSet disabled_rules;
-  /// Limits on this search. An all-unlimited budget (the default) falls
-  /// back to Optimizer::set_default_budget. When a limit trips, the search
-  /// keeps the memo it has, still implements and costs it, and returns the
-  /// best plan found so far with `budget_exhausted` set; it only errors
-  /// (kDeadlineExceeded / kResourceExhausted) when nothing is plannable.
-  SearchBudget budget;
+  /// Absolute deadline of the caller's request (default: never), polled
+  /// every 64 exploration checks. When it passes, the search stops
+  /// exploring, still implements and costs the memo it has, and returns
+  /// the best plan found so far with `budget_exhausted` set; it only fails
+  /// (kDeadlineExceeded) when nothing is plannable.
+  Deadline deadline;
   /// Polled at task-loop granularity; a triggered token makes Optimize
   /// return kCancelled promptly (no partial result).
   CancellationToken cancel;
@@ -56,10 +56,10 @@ struct OptimizeResult {
   int group_count = 0;
   int64_t expr_count = 0;
   bool saturated = false;
-  /// True when a SearchBudget limit truncated exploration: `plan` is the
-  /// best of the expressions explored in time, so `cost` is an upper bound
-  /// on the unbudgeted Cost(q, ¬R). Budget-exhausted results are never
-  /// inserted into the plan cache.
+  /// True when the deadline truncated exploration: `plan` is the best of
+  /// the expressions explored in time, so `cost` is an upper bound on the
+  /// untruncated Cost(q, ¬R). Such results are never inserted into the
+  /// plan cache.
   bool budget_exhausted = false;
 };
 
@@ -113,13 +113,6 @@ class Optimizer {
   void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
   PlanCache* plan_cache() const { return plan_cache_; }
 
-  /// Budget applied to every Optimize() whose options carry an unlimited
-  /// budget; default unlimited. The chaos and budget tests set it to bound
-  /// the searches of a whole compression run.
-  void set_default_budget(const SearchBudget& budget) {
-    default_budget_ = budget;
-  }
-
   /// Fault injector probed at the optimizer's named sites (plan_cache.get,
   /// optimizer.apply_rule). Borrowed, not owned; nullptr (the default)
   /// removes every probe. Components built around this optimizer
@@ -151,7 +144,6 @@ class Optimizer {
   const RuleRegistry* rules_;
   CostModel cost_model_;
   PlanCache* plan_cache_ = nullptr;
-  SearchBudget default_budget_;
   FaultInjector* fault_injector_ = nullptr;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when none injected

@@ -8,16 +8,6 @@
 
 namespace qtf {
 
-const char* GenerationMethodToString(GenerationMethod method) {
-  switch (method) {
-    case GenerationMethod::kRandom:
-      return "RANDOM";
-    case GenerationMethod::kPattern:
-      return "PATTERN";
-  }
-  return "?";
-}
-
 namespace {
 
 bool ContainsAll(const RuleIdSet& rule_set, const std::vector<RuleId>& targets) {
@@ -25,6 +15,13 @@ bool ContainsAll(const RuleIdSet& rule_set, const std::vector<RuleId>& targets) 
     if (rule_set.count(id) == 0) return false;
   }
   return true;
+}
+
+/// Whether a trial's failed search ends the whole run: cancellation and a
+/// passed deadline do; an unplannable or faulted candidate is just a miss.
+bool Interrupts(const Status& status) {
+  return status.code() == StatusCode::kCancelled ||
+         status.code() == StatusCode::kDeadlineExceeded;
 }
 
 }  // namespace
@@ -84,11 +81,14 @@ Result<GenerationOutcome> TargetedQueryGenerator::RunTrials(
 
   OptimizerOptions trial_options;
   trial_options.cancel = config.cancel;
-  trial_options.budget = config.budget;
+  trial_options.deadline = config.deadline;
 
   for (int trial = 0; trial < config.max_trials; ++trial) {
     if (config.cancel.cancelled()) {
       return Status::Cancelled("query generation cancelled");
+    }
+    if (config.deadline.expired()) {
+      return Status::DeadlineExceeded("query generation deadline passed");
     }
     Query candidate;
     if (config.method == GenerationMethod::kRandom) {
@@ -106,11 +106,7 @@ Result<GenerationOutcome> TargetedQueryGenerator::RunTrials(
     trial_counter->Increment();
     auto result = optimizer_->Optimize(candidate, trial_options);
     if (!result.ok()) {
-      // Unplannable (or budget-starved, or faulted) candidates are just
-      // misses; only cancellation interrupts the run.
-      if (result.status().code() == StatusCode::kCancelled) {
-        return result.status();
-      }
+      if (Interrupts(result.status())) return result.status();
       continue;
     }
     if (!ContainsAll(result->exercised_rules, targets)) continue;
@@ -122,9 +118,7 @@ Result<GenerationOutcome> TargetedQueryGenerator::RunTrials(
       options.disabled_rules.insert(targets[0]);
       auto restricted = optimizer_->Optimize(candidate, options);
       if (!restricted.ok()) {
-        if (restricted.status().code() == StatusCode::kCancelled) {
-          return restricted.status();
-        }
+        if (Interrupts(restricted.status())) return restricted.status();
         continue;
       }
       if (PhysicalTreeEquals(*result->plan, *restricted->plan)) continue;

@@ -18,8 +18,6 @@ enum class GenerationMethod {
   kPattern,     // rule-pattern instantiation (paper Section 3)
 };
 
-const char* GenerationMethodToString(GenerationMethod method);
-
 struct GenerationConfig {
   GenerationMethod method = GenerationMethod::kPattern;
   /// Give up after this many optimize() trials.
@@ -35,10 +33,11 @@ struct GenerationConfig {
   /// Checked between trials and passed into every candidate optimization;
   /// a triggered token makes Generate return kCancelled.
   CancellationToken cancel;
-  /// Per-trial search budget (unlimited by default). A candidate whose
-  /// search trips the budget is costed from its truncated memo like any
-  /// other trial; one that exhausts it with no plan is just a miss.
-  SearchBudget budget;
+  /// Absolute deadline of the whole run (default: never), checked where
+  /// `cancel` is and passed into every candidate optimization. Once it
+  /// passes, Generate returns kDeadlineExceeded; a candidate whose search
+  /// it truncated is costed from its truncated memo like any other trial.
+  Deadline deadline;
 };
 
 /// Result of one targeted generation run.
@@ -84,7 +83,8 @@ class TargetedQueryGenerator {
   /// Running out of trials is NOT an error — that returns an outcome with
   /// `success == false` (the miss rate is itself an experimental result,
   /// Figure 8). The error arm is reserved for the run being interrupted:
-  /// kCancelled when config.cancel fires mid-generation.
+  /// kCancelled when config.cancel fires mid-generation, kDeadlineExceeded
+  /// once config.deadline has passed.
   Result<GenerationOutcome> Generate(const std::vector<RuleId>& targets,
                                      const GenerationConfig& config);
 

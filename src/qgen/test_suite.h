@@ -53,9 +53,10 @@ class TestSuiteGenerator {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Generates k distinct queries for every target. Fails if some target
-  /// cannot be covered within the configured trial budget (the
+  /// cannot be covered within the configured trial count (the
   /// lowest-index such query is reported); returns kCancelled when
-  /// config.cancel fires mid-suite.
+  /// config.cancel fires mid-suite and kDeadlineExceeded once
+  /// config.deadline has passed.
   Result<TestSuite> Generate(const std::vector<RuleTarget>& targets, int k,
                              const GenerationConfig& config);
 

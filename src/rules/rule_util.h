@@ -31,7 +31,7 @@ std::map<ColumnId, ExprPtr> ComputedItemMap(const ProjectOp& project);
 /// Map from `u`'s output ids to the columns of its child `branch` (0 or 1)
 /// they come from, typed by that child's bound properties. Pairs them by
 /// position in the child's OutputColumns(), which is wrong once
-/// JoinCommutativity has reordered the child (ROADMAP item 3).
+/// JoinCommutativity has reordered the child (ROADMAP item 1).
 std::map<ColumnId, ExprPtr> UnionBranchMap(const UnionAllOp& u,
                                            size_t branch);
 

@@ -6,26 +6,26 @@
 #include <variant>
 #include <vector>
 
-#include "common/budget.h"
+#include "common/deadline.h"
 #include "qgen/generation.h"
 
 namespace qtf {
 namespace service {
 
 /// Per-request governance knobs. Transport-neutral — the same struct is
-/// populated by in-process callers and decoded off the wire (where `cancel`
-/// does not travel: remote cancellation is closing the connection, local
-/// callers hand a real token).
+/// populated by in-process callers and decoded off the wire, where
+/// `cancel` does not travel: a remote caller's only stop is the deadline
+/// (a request the server admitted runs to completion even after its
+/// connection closes), local callers can also hand a real token.
 struct RequestOptions {
-  /// Search budget of the request's query-generation searches and of a
-  /// `Sql` request's optimize search; unlimited (all zero) by default.
-  /// Compression and correctness searches do not take it: the memo caps
-  /// bound them and `cancel` stops them.
-  SearchBudget budget;
   /// Whole-request deadline, seconds from admission; <= 0 falls back to
   /// RuleTestService::Config::default_deadline_seconds (0 there = none).
-  /// Checked at request phase boundaries — an expired deadline returns
-  /// kDeadlineExceeded for the whole request.
+  /// Checked at request phase boundaries, and handed as one absolute
+  /// deadline to the query-generation run and to a `Sql` request's
+  /// optimize search, which stop when it passes. An expired deadline
+  /// returns kDeadlineExceeded for the whole request. Compression and
+  /// correctness searches see it only at phase boundaries: the memo caps
+  /// bound them and `cancel` stops them.
   double deadline_seconds = 0.0;
   /// Checked by every phase of the request; a triggered token returns
   /// kCancelled. Never serialized.
@@ -79,8 +79,6 @@ enum class CompressionAlgorithm : uint8_t {
   kNoSharingMatching = 3,
 };
 
-const char* CompressionAlgorithmToString(CompressionAlgorithm algorithm);
-
 /// Generate a suite per `suite` and compress it with `algorithm`.
 struct CompressSuiteRequest {
   SuiteSpec suite;
@@ -126,7 +124,7 @@ enum class SqlMode : uint8_t {
   /// Parse + bind only: report the bound tree's fingerprint, canonical SQL
   /// and operator count.
   kParseOnly = 0,
-  /// Additionally optimize the bound tree (shared plan cache, budget).
+  /// Additionally optimize the bound tree (shared plan cache, deadline).
   kOptimize = 1,
   /// Additionally run the correctness pipeline on the bound query: every
   /// logical rule the optimizer exercised becomes a singleton target,

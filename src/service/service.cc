@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <string>
@@ -14,20 +13,6 @@
 
 namespace qtf {
 namespace service {
-
-const char* CompressionAlgorithmToString(CompressionAlgorithm algorithm) {
-  switch (algorithm) {
-    case CompressionAlgorithm::kBaseline:
-      return "BASELINE";
-    case CompressionAlgorithm::kSetMultiCover:
-      return "SetMultiCover";
-    case CompressionAlgorithm::kTopKIndependent:
-      return "TopKIndependent";
-    case CompressionAlgorithm::kNoSharingMatching:
-      return "NoSharingMatching";
-  }
-  return "?";
-}
 
 const char* SqlModeToString(SqlMode mode) {
   switch (mode) {
@@ -60,16 +45,14 @@ void ReportCorrectness(const CorrectnessReport& report, Response* response) {
 
 }  // namespace
 
-/// Per-request governance state: the resolved deadline, the request's
-/// search budget, the caller's cancellation token, and the latency
-/// observation (recorded on destruction, so shed-free error paths are
-/// measured like successes).
+/// Per-request governance state: the resolved deadline, the caller's
+/// cancellation token, and the latency observation (recorded on
+/// destruction, so shed-free error paths are measured like successes).
 class RuleTestService::RequestScope {
  public:
   RequestScope(const RequestOptions& options, double default_deadline_seconds,
                obs::Histogram* latency)
       : cancel_(options.cancel),
-        budget_(options.budget),
         latency_(latency),
         start_(std::chrono::steady_clock::now()) {
     const double seconds = options.deadline_seconds > 0.0
@@ -90,20 +73,9 @@ class RuleTestService::RequestScope {
   RequestScope& operator=(const RequestScope&) = delete;
 
   const CancellationToken& cancel() const { return cancel_; }
-
-  /// Effective per-phase search budget. When a deadline is active its
-  /// remaining time also caps the budget's wall clock, so a single long
-  /// search cannot overrun the whole-request deadline by much.
-  SearchBudget budget() const {
-    SearchBudget budget = budget_;
-    if (!deadline_.never()) {
-      const double remaining = deadline_.remaining_seconds();
-      if (budget.wall_seconds <= 0.0 || remaining < budget.wall_seconds) {
-        budget.wall_seconds = std::max(remaining, 1e-9);
-      }
-    }
-    return budget;
-  }
+  /// The absolute request deadline, handed unchanged to generation runs
+  /// and `Sql` optimize searches, so they stop when the request must.
+  const Deadline& deadline() const { return deadline_; }
 
   /// Phase-boundary check: kDeadlineExceeded / kCancelled, or OK.
   Status Check(const char* phase) const {
@@ -120,7 +92,6 @@ class RuleTestService::RequestScope {
 
  private:
   CancellationToken cancel_;
-  SearchBudget budget_;
   Deadline deadline_;
   obs::Histogram* latency_;
   std::chrono::steady_clock::time_point start_;
@@ -243,7 +214,7 @@ Result<GenerateResponse> RuleTestService::DoGenerate(
   config.extra_ops = request.extra_ops;
   config.seed = request.seed;
   config.cancel = scope.cancel();
-  config.budget = scope.budget();
+  config.deadline = scope.deadline();
   Result<GenerationOutcome> outcome =
       request.require_relevant
           ? framework_->generator()->GenerateRelevant(request.targets[0],
@@ -278,7 +249,7 @@ Status RuleTestService::BuildCompressedSuite(
   config.extra_ops = spec.extra_ops;
   config.seed = spec.seed;
   config.cancel = scope->cancel();
-  config.budget = scope->budget();
+  config.deadline = scope->deadline();
   QTF_ASSIGN_OR_RETURN(
       *suite, framework_->suite_generator()->Generate(targets, spec.k,
                                                       config));
@@ -378,7 +349,7 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
   OptimizerOptions options;
   options.disabled_rules.insert(request.disabled_rules.begin(),
                                 request.disabled_rules.end());
-  options.budget = scope.budget();
+  options.deadline = scope.deadline();
   options.cancel = scope.cancel();
   QTF_ASSIGN_OR_RETURN(OptimizeResult result,
                        framework_->optimizer()->Optimize(query, options));
@@ -587,12 +558,6 @@ Result<GenerateResponse> RuleTestService::Generate(
     const GenerateRequest& request) {
   QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
   return std::get<GenerateResponse>(std::move(response));
-}
-
-Result<CompressSuiteResponse> RuleTestService::CompressSuite(
-    const CompressSuiteRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<CompressSuiteResponse>(std::move(response));
 }
 
 Result<CorrectnessResponse> RuleTestService::RunCorrectness(

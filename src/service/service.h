@@ -17,15 +17,15 @@ namespace service {
 
 /// The rule-testing framework as a multi-tenant service: one resident
 /// RuleTestFramework executing plain request/response structs (service/api.h)
-/// behind admission control, budgets, deadlines and cancellation. Callable
+/// behind admission control, deadlines and cancellation. Callable
 /// in-process (tests and embedders call the typed methods directly) and over
 /// the wire identically — the TCP transport (src/net/) decodes a request,
 /// runs it through Execute, and encodes whatever comes back, so a remote
 /// call returns byte-identical payloads to a local one for the same seeds.
 ///
-/// Residency is the point (ROADMAP item 1): the shared PlanCache,
-/// NodeInterner and EvalProgramCache warm up across requests, so a busy
-/// service answers repeat seeds from cache instead of re-searching.
+/// Residency is the point (ROADMAP aim 1, performance): the shared
+/// PlanCache, NodeInterner and EvalProgramCache warm up across requests, so
+/// a busy service answers repeat seeds from cache instead of re-searching.
 ///
 /// Thread-safety: every method may be called concurrently. Requests execute
 /// on the caller's thread (transports bring their own worker pool); shared
@@ -43,9 +43,10 @@ class RuleTestService {
     size_t max_queue_depth = 128;
     /// Whole-request deadline for requests that carry none; <= 0 (the
     /// default) means none. Checked between request phases (suite
-    /// generation, compression, correctness execution), so an expired
-    /// deadline surfaces as kDeadlineExceeded at the next phase boundary
-    /// rather than mid-search.
+    /// generation, compression, correctness execution) and by query
+    /// generation before every trial, so an expired deadline surfaces as
+    /// kDeadlineExceeded; a `Sql` optimize search it cuts short returns
+    /// its best plan so far (see RequestOptions).
     double default_deadline_seconds = 0.0;
   };
 
@@ -60,8 +61,6 @@ class RuleTestService {
   /// applies the default deadline to a request that carries none, and
   /// executes.
   Result<GenerateResponse> Generate(const GenerateRequest& request);
-  Result<CompressSuiteResponse> CompressSuite(
-      const CompressSuiteRequest& request);
   Result<CorrectnessResponse> RunCorrectness(
       const CorrectnessRequest& request);
   /// SQL text in, bound-tree facts (and optionally optimization /
@@ -71,11 +70,11 @@ class RuleTestService {
   /// being parsed, bound or rendered again (see BindStatement).
   Result<SqlResponse> Sql(const SqlRequest& request);
   /// Compile .qtr rule specs (src/ruledsl/) and register them into the
-  /// resident registry — the discovered-rule ingestion path (ROADMAP
-  /// item 4). Registration invalidates the plan cache (cached results were
-  /// computed under the smaller rule set) and extends the per-rule metric
-  /// families. All-or-nothing: any compile error or name collision
-  /// registers nothing.
+  /// resident registry — the ingestion path for hand-written or discovered
+  /// rules (rule discovery itself is out of ROADMAP's scope). Registration
+  /// invalidates the plan cache (cached results were computed under the
+  /// smaller rule set) and extends the per-rule metric families.
+  /// All-or-nothing: any compile error or name collision registers nothing.
   Result<LoadRulesResponse> LoadRules(const LoadRulesRequest& request);
   /// Introspect the resident registry (id, name, type, pattern, origin).
   Result<ListRulesResponse> ListRules(const ListRulesRequest& request);
@@ -105,7 +104,7 @@ class RuleTestService {
   obs::MetricsRegistry* metrics() { return framework_->metrics(); }
 
  private:
-  /// Deadline, budget and cancellation of one admitted request, plus its
+  /// Deadline and cancellation of one admitted request, plus its
   /// latency observation (qtf.service.request_seconds, counted on scope
   /// destruction so error paths are measured too).
   class RequestScope;

@@ -1,13 +1,13 @@
 // Tests for the common substrate: Status/Result, RNG determinism, string
-// utilities, budgets/cancellation, and the deterministic fault injector.
+// utilities, deadlines/cancellation, and the deterministic fault injector.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <limits>
 #include <set>
+#include <string>
 
-#include "common/budget.h"
+#include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -151,17 +151,14 @@ TEST(DeadlineTest, NeverAndExpiry) {
   Deadline never;
   EXPECT_TRUE(never.never());
   EXPECT_FALSE(never.expired());
-  EXPECT_EQ(never.remaining_seconds(),
-            std::numeric_limits<double>::infinity());
 
   Deadline past = Deadline::After(-1.0);
   EXPECT_FALSE(past.never());
   EXPECT_TRUE(past.expired());
-  EXPECT_LE(past.remaining_seconds(), 0.0);
 
   Deadline future = Deadline::After(3600.0);
+  EXPECT_FALSE(future.never());
   EXPECT_FALSE(future.expired());
-  EXPECT_GT(future.remaining_seconds(), 0.0);
 }
 
 TEST(CancellationTest, TokensShareTheirSourceFlag) {
@@ -180,13 +177,6 @@ TEST(CancellationTest, TokensShareTheirSourceFlag) {
   CancellationToken detached;
   EXPECT_FALSE(detached.cancellable());
   EXPECT_FALSE(detached.cancelled());
-}
-
-TEST(SearchBudgetTest, UnlimitedByDefault) {
-  SearchBudget budget;
-  EXPECT_TRUE(budget.unlimited());
-  budget.max_memo_exprs = 10;
-  EXPECT_FALSE(budget.unlimited());
 }
 
 TEST(FaultInjectorTest, SeedZeroNeverFaultsAndCannotBeEnabled) {
@@ -256,6 +246,61 @@ TEST(FaultInjectorTest, JitterIsDeterministicAndBounded) {
       EXPECT_LE(fa, 1.5);
     }
   }
+}
+
+// Fault streams must not move: a chaos run replays the same faults on
+// every build. Probe outcomes (F = fault) and jitter factors for fixed
+// (seed, site, key), as the injector produced them when its hashes were
+// private copies of common/hash.h's Mix64 and Fnv1a.
+TEST(FaultInjectorTest, StreamsMatchRecordedValues) {
+  struct Stream {
+    uint64_t seed;
+    const char* site;
+    const char* outcomes;  // keys k * 0x9e3779b97f4a7c15 for k = 0..31
+  };
+  const Stream streams[] = {
+      {7, fault_sites::kPlanCacheGet, ".F...F...FF.FF..FF..FFFFFF..F.F."},
+      {7, fault_sites::kOptimizerApplyRule,
+       "F...FFF.F.FFFFFF.F......FFFF.F.."},
+      {7, fault_sites::kExecutorNextBatch,
+       ".F.FF..FFFF.F......FF.FF..FF.F.F"},
+      {7, fault_sites::kPrefetchTask, "FF........FF....FF...F.FF...FFFF"},
+      {0x5eed2026, fault_sites::kPlanCacheGet,
+       "FF.FF.F..FFFF..FFFF.F.F..FFFFFFF"},
+      {0x5eed2026, fault_sites::kOptimizerApplyRule,
+       ".......F.......F.FFFFF.FFF...FFF"},
+      {0x5eed2026, fault_sites::kExecutorNextBatch,
+       "......F...F....FF..F.....FFFFFFF"},
+      {0x5eed2026, fault_sites::kPrefetchTask,
+       "FFFF.FFFF..F.FFF.FF...F.F.F....."},
+  };
+  for (const Stream& stream : streams) {
+    FaultInjector injector({stream.seed, /*fault_probability=*/0.5});
+    std::string outcomes;
+    for (uint64_t k = 0; k < 32; ++k) {
+      outcomes +=
+          injector.Probe(stream.site, k * 0x9e3779b97f4a7c15ULL).ok() ? '.'
+                                                                      : 'F';
+    }
+    EXPECT_EQ(outcomes, stream.outcomes)
+        << "seed " << stream.seed << " site " << stream.site;
+  }
+
+  FaultInjector seven({7, 0.5});
+  FaultInjector other({0x5eed2026, 0.5});
+  const uint64_t edge = FaultInjector::EdgeKey(3, 5, 1);
+  EXPECT_EQ(seven.JitterFactor(0, 0, 0.5), 0x1.1af42b5423f06p+0);
+  EXPECT_EQ(seven.JitterFactor(0, 1, 0.5), 0x1.5d903e94bdc45p+0);
+  EXPECT_EQ(seven.JitterFactor(42, 0, 0.5), 0x1.da7aba9fdbcccp-1);
+  EXPECT_EQ(seven.JitterFactor(42, 1, 0.5), 0x1.65f7a51de1131p-1);
+  EXPECT_EQ(seven.JitterFactor(edge, 0, 0.5), 0x1.faca38d54e3d6p-1);
+  EXPECT_EQ(seven.JitterFactor(edge, 1, 0.5), 0x1.6deae851c7e8p+0);
+  EXPECT_EQ(other.JitterFactor(0, 0, 0.5), 0x1.57c39332fcbe9p+0);
+  EXPECT_EQ(other.JitterFactor(0, 1, 0.5), 0x1.56158dd2da7fcp+0);
+  EXPECT_EQ(other.JitterFactor(42, 0, 0.5), 0x1.31bcef3d35ba9p+0);
+  EXPECT_EQ(other.JitterFactor(42, 1, 0.5), 0x1.02c94402cc8d3p-1);
+  EXPECT_EQ(other.JitterFactor(edge, 0, 0.5), 0x1.36ce309c87cc8p+0);
+  EXPECT_EQ(other.JitterFactor(edge, 1, 0.5), 0x1.5f9993408e928p+0);
 }
 
 TEST(FaultInjectorTest, EdgeKeyDecorrelatesAttempts) {

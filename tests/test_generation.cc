@@ -178,6 +178,36 @@ TEST_F(GenerationTest, GenerationFailureReportsTrials) {
   EXPECT_EQ(outcome.trials, 1);
 }
 
+// A passed deadline stops generation at once: Generate returns
+// kDeadlineExceeded after at most one trial, serially and when suite
+// generation fans its queries out over 4 threads.
+TEST_F(GenerationTest, ExpiredDeadlineStopsGeneration) {
+  auto trials = [](RuleTestFramework& fw) {
+    obs::MetricsSnapshot snapshot = fw.metrics()->Snapshot();
+    return snapshot.CounterValue("qtf.qgen.trials.random") +
+           snapshot.CounterValue("qtf.qgen.trials.pattern");
+  };
+  GenerationConfig config;
+  config.method = GenerationMethod::kRandom;
+  config.seed = 303;
+  config.deadline = Deadline::After(-1.0);
+  auto generated = fw_->generator()->Generate(
+      {fw_->rules().FindByName("LojLojAssocRight")}, config);
+  ASSERT_FALSE(generated.ok());
+  EXPECT_EQ(generated.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LE(trials(*fw_), 1);
+
+  RuleTestFramework::Options options;
+  options.threads = 4;
+  auto parallel = RuleTestFramework::Create(std::move(options)).value();
+  config.method = GenerationMethod::kPattern;
+  auto suite = parallel->suite_generator()->Generate(
+      parallel->LogicalRuleSingletons(8), 2, config);
+  ASSERT_FALSE(suite.ok());
+  EXPECT_EQ(suite.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LE(trials(*parallel), 1);
+}
+
 TEST_F(GenerationTest, SuiteGeneratorProducesKPerTarget) {
   auto targets = fw_->LogicalRuleSingletons(5);
   GenerationConfig config;

@@ -129,7 +129,7 @@ TEST_F(MemoTest, BindPatternTwoLevelEnumeratesChildExprs) {
   auto select = std::make_shared<SelectOp>(
       join, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(1)));
   int root = memo_->InsertTree(*select);
-  int join_group = memo_->group(root).exprs[0]->child_groups[0];
+  int join_group = memo_->group(root).exprs[0]->child_group(0);
 
   // Add a second (commuted) join expression to the join group.
   const GroupExpr& join_expr = *memo_->group(join_group).exprs[0];
@@ -197,8 +197,8 @@ TEST_F(MemoTest, BindPatternCutAtMaxBindingsIsReported) {
         input, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(key)));
   };
   int root = memo_->InsertTree(*filter(filter(nation_, 0), 1000));
-  const int child_group = memo_->group(root).exprs[0]->child_groups[0];
-  const int nation_group = memo_->group(child_group).exprs[0]->child_groups[0];
+  const int child_group = memo_->group(root).exprs[0]->child_group(0);
+  const int nation_group = memo_->group(child_group).exprs[0]->child_group(0);
   PatternNodePtr pattern = P::Op(
       LogicalOpKind::kSelect, {P::Op(LogicalOpKind::kSelect, {P::Any()})});
 
@@ -229,8 +229,8 @@ TEST_F(MemoTest, BindPatternSinceBindsOnlyCombinationsHoldingANewerExpr) {
       JoinKind::kInner, NationFilter(nation_, 0), RegionFilter(region_, 0),
       nullptr));
   const GroupExpr& join_expr = *memo_->group(root).exprs[0];
-  const int left = join_expr.child_groups[0];
-  const int right = join_expr.child_groups[1];
+  const int left = join_expr.child_group(0);
+  const int right = join_expr.child_group(1);
   PatternNodePtr pattern = P::Join(JoinKind::kInner,
                                    P::Op(LogicalOpKind::kSelect, {P::Any()}),
                                    P::Op(LogicalOpKind::kSelect, {P::Any()}));
@@ -246,9 +246,9 @@ TEST_F(MemoTest, BindPatternSinceBindsOnlyCombinationsHoldingANewerExpr) {
 
   // One newer Select on each side.
   const LogicalOpPtr nation_ref =
-      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_groups[0]);
+      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_group(0));
   const LogicalOpPtr region_ref =
-      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_groups[0]);
+      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_group(0));
   ASSERT_TRUE(memo_->Insert(NationFilter(nation_ref, 1), left).second);
   ASSERT_TRUE(memo_->Insert(RegionFilter(region_ref, 1), right).second);
   const LogicalOp* a0 = memo_->group(left).exprs[0]->op.get();
@@ -284,12 +284,12 @@ TEST_F(MemoTest, BindPatternSkippedCombinationsStillCountTowardTheCut) {
       JoinKind::kInner, NationFilter(nation_, 0), RegionFilter(region_, 0),
       nullptr));
   const GroupExpr& join_expr = *memo_->group(root).exprs[0];
-  const int left = join_expr.child_groups[0];
-  const int right = join_expr.child_groups[1];
+  const int left = join_expr.child_group(0);
+  const int right = join_expr.child_group(1);
   const LogicalOpPtr nation_ref =
-      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_groups[0]);
+      memo_->MakeGroupRef(memo_->group(left).exprs[0]->child_group(0));
   const LogicalOpPtr region_ref =
-      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_groups[0]);
+      memo_->MakeGroupRef(memo_->group(right).exprs[0]->child_group(0));
   for (int64_t key = 1; key < Memo::kMaxBindings; ++key) {
     memo_->Insert(RegionFilter(region_ref, key), right);
   }
@@ -318,9 +318,9 @@ TEST_F(MemoTest, BindPatternDeeperChildPatternRebindsEverything) {
   int root = memo_->InsertTree(
       *NationFilter(NationFilter(NationFilter(nation_, 0), 1), 2));
   const GroupExpr& root_expr = *memo_->group(root).exprs[0];
-  const int middle = root_expr.child_groups[0];
-  const int bottom = memo_->group(middle).exprs[0]->child_groups[0];
-  const int nation_group = memo_->group(bottom).exprs[0]->child_groups[0];
+  const int middle = root_expr.child_group(0);
+  const int bottom = memo_->group(middle).exprs[0]->child_group(0);
+  const int nation_group = memo_->group(bottom).exprs[0]->child_group(0);
   PatternNodePtr pattern = P::Op(
       LogicalOpKind::kSelect,
       {P::Op(LogicalOpKind::kSelect,
@@ -357,7 +357,7 @@ TEST_F(MemoTest, BindingInputsGrowOnlyWithTheGroupsAPatternReads) {
       join, Eq(Col(nation_->columns()[0], ValueType::kInt64), LitInt(1)));
   int root = memo_->InsertTree(*select);
   const GroupExpr& select_expr = *memo_->group(root).exprs[0];
-  const int join_group = select_expr.child_groups[0];
+  const int join_group = select_expr.child_group(0);
   PatternNodePtr two_level = P::Op(
       LogicalOpKind::kSelect, {P::Join(JoinKind::kInner, P::Any(), P::Any())});
   PatternNodePtr single_level = P::Op(LogicalOpKind::kSelect, {P::Any()});

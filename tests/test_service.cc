@@ -1,5 +1,5 @@
 // RuleTestService + ServiceServer: option validation, admission shedding,
-// budget/deadline/cancellation plumbing, and the serving acceptance
+// deadline/cancellation plumbing, and the serving acceptance
 // criteria — a resident server answering concurrent connections with
 // responses byte-identical to in-process calls, and surviving garbage
 // frames from hostile peers.
@@ -139,19 +139,48 @@ TEST(ServiceTest, RequestValidationNamesTheField) {
   }
 }
 
-TEST(ServiceTest, BudgetExhaustionDegradesGracefully) {
-  auto service = MakeService();
+TEST(ServiceTest, SqlOptimizeSearchStopsAtTheRequestDeadline) {
+  // Injected latency makes every rule application sleep 5 ms, so the
+  // search's first deadline check (after 64 exploration steps) comes long
+  // after a 0.1 s request deadline: the optimizer must truncate
+  // exploration and still return its best plan.
+  service::RuleTestService::Config config;
+  config.framework.fault_injector.seed = 1;
+  config.framework.fault_injector.latency_probability = 1.0;
+  config.framework.fault_injector.latency_micros = 5000.0;
+  auto service = service::RuleTestService::Create(std::move(config)).value();
   RandomGeneratorConfig six_to_nine;
   six_to_nine.min_ops = 6;
   six_to_nine.max_ops = 9;
-  service::SqlRequest request = SeededOptimize(*service, 9, six_to_nine);
-  // A one-group memo budget cannot fit any real search: the optimizer
-  // must truncate exploration and still return its best plan.
-  request.options.budget.max_memo_groups = 1;
+  service::SqlRequest request = SeededOptimize(*service, 3, six_to_nine);
+  request.options.deadline_seconds = 0.1;
   auto response = service->Sql(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response->budget_exhausted);
   EXPECT_GT(response->group_count, 0);
+}
+
+TEST(ServiceTest, GenerateStopsAtTheRequestDeadline) {
+  // RANDOM generation for LojLojAssocRight at this seed needs 735 trials
+  // (about half a second in an optimized build). The 50 ms request
+  // deadline holds across them: generation stops when it passes and the
+  // request fails, rather than every trial getting a fresh deadline.
+  auto service = MakeService();
+  service::GenerateRequest request;
+  request.targets = {
+      service->framework()->rules().FindByName("LojLojAssocRight")};
+  request.method = GenerationMethod::kRandom;
+  request.max_trials = 2000;
+  request.seed = 303;
+  request.options.deadline_seconds = 0.05;
+  auto response = service->Generate(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status().ToString();
+  // It stopped mid-generation, not at the phase check before it.
+  EXPECT_GT(service->metrics()->Snapshot().CounterValue(
+                "qtf.qgen.trials.random"),
+            0);
 }
 
 TEST(ServiceTest, PreCancelledRequestReturnsCancelled) {

@@ -59,13 +59,8 @@ std::map<std::string, Golden> LoadGoldens() {
   return goldens;
 }
 
-service::RequestOptions Options(double wall_seconds, int max_memo_groups,
-                                int64_t max_memo_exprs,
-                                double deadline_seconds) {
+service::RequestOptions Options(double deadline_seconds) {
   service::RequestOptions options;
-  options.budget.wall_seconds = wall_seconds;
-  options.budget.max_memo_groups = max_memo_groups;
-  options.budget.max_memo_exprs = max_memo_exprs;
   options.deadline_seconds = deadline_seconds;
   return options;
 }
@@ -82,7 +77,7 @@ std::vector<std::pair<std::string, std::string>> EncodedSamples() {
   generate.extra_ops = -4;
   generate.seed = 0xfedcba9876543210ULL;
   generate.require_relevant = true;
-  generate.options = Options(1.5, -400, 90000, 2.25);
+  generate.options = Options(2.25);
 
   service::GenerateResponse generated;
   generated.success = true;
@@ -97,7 +92,7 @@ std::vector<std::pair<std::string, std::string>> EncodedSamples() {
                     0x0123456789abcdefULL};
   compress.algorithm = service::CompressionAlgorithm::kNoSharingMatching;
   compress.exploit_monotonicity = false;
-  compress.options = Options(0.5, 12, -1, 9.75);
+  compress.options = Options(9.75);
 
   service::CompressSuiteResponse compressed;
   compressed.suite_queries = 6;
@@ -111,7 +106,7 @@ std::vector<std::pair<std::string, std::string>> EncodedSamples() {
   correctness.suite = {6, true, -3, GenerationMethod::kPattern, 9, 4, 99};
   correctness.algorithm = service::CompressionAlgorithm::kNoSharingMatching;
   correctness.exploit_monotonicity = false;
-  correctness.options = Options(3.0, -8, 6000, 0.125);
+  correctness.options = Options(0.125);
 
   service::CorrectnessResponse checked;
   checked.plans_executed = 9;
@@ -123,7 +118,7 @@ std::vector<std::pair<std::string, std::string>> EncodedSamples() {
   service::SqlRequest sql;
   sql.sql = "SELECT l_orderkey FROM lineitem WHERE l_quantity < 25";
   sql.mode = service::SqlMode::kCorrectness;
-  sql.options = Options(4.5, 33, -7, 3.5);
+  sql.options = Options(3.5);
   sql.disabled_rules = {6, 14};
 
   service::SqlResponse answered;
@@ -143,7 +138,7 @@ std::vector<std::pair<std::string, std::string>> EncodedSamples() {
   service::LoadRulesRequest load;
   load.text = "rule R { match s: select(select($X)) rewrite $X }";
   load.dry_run = true;
-  load.options = Options(2.0, -1, 500, 2.5);
+  load.options = Options(2.5);
 
   service::LoadRulesResponse loaded;
   loaded.ids = {39, -40};
@@ -268,13 +263,15 @@ TEST(WireTest, DecoderRejectsMalformedHeaders) {
     EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // Wrong version: version 1 frames are refused.
-    std::string bytes = EncodeFrame(MessageType::kMetricsRequest, 1, "");
-    EXPECT_EQ(bytes[4], 2);
-    bytes[4] = 1;
-    FrameDecoder decoder;
-    decoder.Feed(bytes);
-    EXPECT_FALSE(decoder.Next(&frame).ok());
+    // Wrong version: version 1 and 2 frames are refused.
+    for (char old_version : {1, 2}) {
+      std::string bytes = EncodeFrame(MessageType::kMetricsRequest, 1, "");
+      EXPECT_EQ(bytes[4], 3);
+      bytes[4] = old_version;
+      FrameDecoder decoder;
+      decoder.Feed(bytes);
+      EXPECT_FALSE(decoder.Next(&frame).ok());
+    }
   }
   {
     // Unknown message type.
@@ -372,7 +369,9 @@ TEST(WireGoldenTest, SqlRequestAppendsDisabledRulesToTheVersion1Layout) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->mode, service::SqlMode::kCorrectness);
   EXPECT_EQ(decoded->disabled_rules, (std::vector<RuleId>{6, 14}));
-  // Without disabled rules the payload is version 1's plus an empty count.
+  EXPECT_EQ(decoded->options.deadline_seconds, 3.5);
+  // Without disabled rules the payload is version 1's, less the 20 budget
+  // bytes version 3 deleted, plus an empty count.
   decoded->disabled_rules.clear();
   EXPECT_EQ(EncodeSqlRequest(*decoded),
             golden.first_word + std::string(4, '\0'));
